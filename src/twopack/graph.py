@@ -106,6 +106,21 @@ class TwoLevelGraph:
     conflicts that were routed through removed vertices persist.  The full
     distance-two neighborhood of a vertex is computed on demand by
     ``materialize_two_neighborhood`` and kept up to date afterwards.
+
+    ``neighbors``, ``degree``, ``has_edge``, ``has_two_edge``,
+    ``two_neighbors``, ``degree2``, ``in_conflict``,
+    ``materialize_two_neighborhood`` and ``remove_vertex`` reject an
+    out-of-range or inactive vertex with ``GraphError`` (``has_edge`` and
+    ``has_two_edge`` check their first vertex), and the set-valued ones
+    return copies.  ``status``, ``is_active`` and ``is_materialized`` do no
+    activity check.
+
+    The reduction rules in ``reductions`` run millions of probes, so they
+    skip those checks and copies: they read ``_one[v]`` (edges), ``_two[v]``
+    (recorded conflict edges) and ``_materialized[v]`` in place, only for
+    active ``v``, and never mutate them.  ``_two[v]`` is the whole
+    2-neighborhood only once ``v`` is materialized, so a rule calls
+    ``materialize_two_neighborhood`` first when it is not.
     """
 
     def __init__(self, static: StaticGraph):
@@ -155,11 +170,6 @@ class TwoLevelGraph:
         self._require_active(v)
         return set(self._one[v])
 
-    def neighbors_view(self, v: int) -> set[int]:
-        """Internal neighbor set without copying; callers must not mutate it."""
-        self._require_active(v)
-        return self._one[v]
-
     def degree(self, v: int) -> int:
         self._require_active(v)
         return len(self._one[v])
@@ -203,11 +213,6 @@ class TwoLevelGraph:
 
     def two_neighbors(self, v: int) -> set[int]:
         return self.materialize_two_neighborhood(v)
-
-    def two_neighbors_view(self, v: int) -> set[int]:
-        """Materialized 2-neighborhood without copying; callers must not mutate it."""
-        self.materialize_two_neighborhood(v)
-        return self._two[v]
 
     def degree2(self, v: int) -> int:
         self.materialize_two_neighborhood(v)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional
 
 from .graph import GraphError, StaticGraph, TwoLevelGraph, VertexStatus
@@ -129,11 +130,26 @@ def _include(
     v: int,
     excluded: Iterable[int],
 ) -> None:
+    # Sorted before any removal: ``excluded`` may be a set of ``g`` read in place.
+    order = sorted(excluded)
     g.remove_vertex(v, VertexStatus.INCLUDED)
     if log is not None:
         log.record(v, VertexStatus.INCLUDED, rule)
-    for u in sorted(excluded):
+    for u in order:
         _exclude(g, log, rule, u)
+
+
+def _two_set(g: TwoLevelGraph, v: int) -> set[int]:
+    """The 2-neighborhood of active ``v``, materialized if need be, read in place."""
+    if not g._materialized[v]:
+        g.materialize_two_neighborhood(v)
+    return g._two[v]
+
+
+def _conflicts(g: TwoLevelGraph, x: int, y: int) -> bool:
+    """``TwoLevelGraph.in_conflict`` without its activity checks."""
+    one_x = g._one[x]
+    return y in one_x or y in g._two[x] or not one_x.isdisjoint(g._one[y])
 
 
 def _closed_one_subset(g: TwoLevelGraph, v: int, u: int) -> bool:
@@ -158,41 +174,55 @@ def two_neighborhood_confined(g: TwoLevelGraph, v: int, u: int) -> bool:
 
 
 # -- the rules ---------------------------------------------------------------
+#
+# Rules read the graph's edge and conflict sets in place (see TwoLevelGraph):
+# they are only probed on active vertices, and every vertex they touch is an
+# active neighbor or 2-neighbor of one.  Which 2-neighborhoods a probe
+# materializes is part of a rule's behaviour, because it sets the kernel's
+# conflict-edge count: each rule materializes them as its predicate reaches
+# them, never ahead.
 
 
 def try_domination(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) -> Optional[int]:
     """Exclude a vertex u whose closed 2-neighborhood contains that of v.
 
     Candidates are scanned in ascending ID among the conflict neighborhood of
-    v; on equal closed 2-neighborhoods the larger ID is excluded.
+    v; on equal closed 2-neighborhoods the larger ID is excluded.  Every
+    candidate up to the excluded one has its 2-neighborhood materialized.
     """
-    two_v = g.two_neighbors_view(v)
-    one_v = g.neighbors_view(v)
+    one, two, materialized = g._one, g._two, g._materialized
+    one_v = one[v]
+    two_v = _two_set(g, v)
     size_v = len(one_v) + len(two_v) + 1
-    candidates = sorted(two_v | one_v)
-    for u in candidates:
-        one_u = g.neighbors_view(u)
-        two_u = g.two_neighbors_view(u)
-        if len(one_u) + len(two_u) + 1 < size_v:
+    conflict_v = one_v | two_v
+    for u in sorted(conflict_v):
+        if not materialized[u]:
+            g.materialize_two_neighborhood(u)
+        one_u = one[u]
+        two_u = two[u]
+        size_u = len(one_u) + len(two_u) + 1
+        if size_u < size_v:
             continue
-        if v not in one_u and v not in two_u:
-            continue
-        if all(x == u or x in one_u or x in two_u for x in one_v) and all(
-            x == u or x in one_u or x in two_u for x in two_v
-        ):
-            equal = size_v == len(one_u) + len(two_u) + 1
-            target = max(u, v) if equal else u
-            _exclude(g, log, ReductionKind.DOMINATION, target)
-            return target
+        # Conflicts are symmetric, so v is in N(u) or N2(u); the closed
+        # 2-neighborhood of v fits in u's iff every other conflict of v does.
+        # Plain neighbors of v first: they reject most candidates early.
+        for x in one_v:
+            if x != u and x not in one_u and x not in two_u:
+                break
+        else:
+            if len(conflict_v.difference(one_u, two_u)) == 1:
+                target = max(u, v) if size_u == size_v else u
+                _exclude(g, log, ReductionKind.DOMINATION, target)
+                return target
     return None
 
 
 def try_clique(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) -> Optional[int]:
     """Include v when its closed 2-neighborhood is pairwise in conflict."""
-    members = sorted(g.two_neighbors_view(v) | g.neighbors_view(v))
+    members = sorted(_two_set(g, v) | g._one[v])
     for i, x in enumerate(members):
         for y in members[i + 1 :]:
-            if not g.in_conflict(x, y):
+            if not _conflicts(g, x, y):
                 return None
     _include(g, log, ReductionKind.CLIQUE, v, members)
     return v
@@ -200,9 +230,9 @@ def try_clique(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) -> 
 
 def try_deg_zero(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) -> Optional[int]:
     """Include an edge-free vertex with at most one conflict neighbor."""
-    if g.degree(v) != 0:
+    if len(g._one[v]) != 0:
         return None
-    two_v = g.two_neighbors(v)
+    two_v = _two_set(g, v)
     if len(two_v) > 1:
         return None
     _include(g, log, ReductionKind.DEG_ZERO, v, two_v)
@@ -213,13 +243,13 @@ def try_deg_zero_triangle(
     g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None
 ) -> Optional[int]:
     """Include an edge-free vertex whose two conflict neighbors conflict each other."""
-    if g.degree(v) != 0:
+    if len(g._one[v]) != 0:
         return None
-    two_v = g.two_neighbors(v)
+    two_v = _two_set(g, v)
     if len(two_v) != 2:
         return None
-    u, w = sorted(two_v)
-    if not g.in_conflict(u, w):
+    u, w = two_v
+    if not _conflicts(g, u, w):
         return None
     _include(g, log, ReductionKind.DEG_ZERO_TRIANGLE, v, two_v)
     return v
@@ -227,11 +257,12 @@ def try_deg_zero_triangle(
 
 def try_deg_one(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) -> Optional[int]:
     """Include a degree-one vertex whose conflicts all route through its neighbor."""
-    if g.degree(v) != 1:
+    one_v = g._one[v]
+    if len(one_v) != 1:
         return None
-    (u,) = g.neighbors(v)
-    two_v = g.two_neighbors(v)
-    if len(two_v) > g.degree(u) - 1:
+    (u,) = one_v
+    two_v = _two_set(g, v)
+    if len(two_v) > len(g._one[u]) - 1:
         return None
     _include(g, log, ReductionKind.DEG_ONE, v, two_v | {u})
     return v
@@ -239,11 +270,12 @@ def try_deg_one(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) ->
 
 def try_v_shape(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) -> Optional[int]:
     """Include a degree-two vertex with an empty 2-neighborhood."""
-    if g.degree(v) != 2:
+    one_v = g._one[v]
+    if len(one_v) != 2:
         return None
-    if g.degree2(v) != 0:
+    if len(_two_set(g, v)) != 0:
         return None
-    _include(g, log, ReductionKind.DEG_TWO_V_SHAPE, v, g.neighbors(v))
+    _include(g, log, ReductionKind.DEG_TWO_V_SHAPE, v, one_v)
     return v
 
 
@@ -251,12 +283,13 @@ def try_deg_two_triangle(
     g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None
 ) -> Optional[int]:
     """Triangle special case: degree-two vertex, both neighbors of degree two."""
-    if g.degree(v) != 2:
+    one = g._one
+    if len(one[v]) != 2:
         return None
-    u, w = sorted(g.neighbors(v))
-    if g.degree(u) != 2 or g.degree(w) != 2:
+    u, w = one[v]
+    if len(one[u]) != 2 or len(one[w]) != 2:
         return None
-    if g.degree2(v) != 0:
+    if len(_two_set(g, v)) != 0:
         return None
     _include(g, log, ReductionKind.DEG_TWO_TRIANGLE, v, (u, w))
     return v
@@ -264,16 +297,17 @@ def try_deg_two_triangle(
 
 def try_four_cycle(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) -> Optional[int]:
     """Chordless 4-cycle: include v, exclude its neighbors and the opposite vertex."""
-    if g.degree(v) != 2:
+    one = g._one
+    if len(one[v]) != 2:
         return None
-    u, w = sorted(g.neighbors(v))
-    if g.degree(u) != 2 or g.degree(w) != 2:
+    u, w = one[v]
+    if len(one[u]) != 2 or len(one[w]) != 2:
         return None
-    two_v = g.two_neighbors(v)
+    two_v = _two_set(g, v)
     if len(two_v) != 1:
         return None
     (x,) = two_v
-    if not (g.has_edge(u, x) and g.has_edge(w, x)):
+    if not (x in one[u] and x in one[w]):
         return None
     _include(g, log, ReductionKind.DEG_TWO_FOUR_CYCLE, v, (u, w, x))
     return v
@@ -286,8 +320,17 @@ def try_fast_domination(
 
     Never materializes the 2-neighborhood of the excluded vertex.
     """
-    for u in sorted(g.neighbors(v)):
-        if _closed_one_subset(g, v, u) and two_neighborhood_confined(g, v, u):
+    one = g._one
+    one_v = one[v]
+    deg_v = len(one_v)
+    for u in sorted(one_v):
+        one_u = one[u]
+        # N[v] subset of N[u]: needs deg(u) >= deg(v), then only u itself of
+        # N(v) may be missing from N(u).
+        if len(one_u) < deg_v or len(one_v - one_u) != 1:
+            continue
+        # two_neighborhood_confined's counting test, preconditions just shown.
+        if len(_two_set(g, v)) + deg_v <= len(one_u):
             _exclude(g, log, ReductionKind.FAST_DOMINATION, u)
             return u
     return None
@@ -295,13 +338,14 @@ def try_fast_domination(
 
 def try_twin(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) -> Optional[int]:
     """Include a degree-two vertex whose neighbors have identical neighborhoods."""
-    if g.degree(v) != 2:
+    one = g._one
+    if len(one[v]) != 2:
         return None
-    u, w = sorted(g.neighbors(v))
-    if g.neighbors(u) != g.neighbors(w):
+    u, w = one[v]
+    if one[u] != one[w]:
         return None
-    two_v = g.two_neighbors(v)
-    if len(two_v) > g.degree(u) - 1:
+    two_v = _two_set(g, v)
+    if len(two_v) > len(one[u]) - 1:
         return None
     _include(g, log, ReductionKind.TWIN, v, two_v | {u, w})
     return v
@@ -336,32 +380,42 @@ def apply_rules_exhaustively(
     surviving pairs never change, neighborhoods only shrink), so this skips
     exactly the probes that would fail again and fires the same rule/vertex
     sequence as the plain restart policy.
+
+    Each rule keeps its pending vertices in a set and in a min-heap holding
+    the same vertices, so a restart resumes the ascending scan at the heap's
+    top instead of sorting the pending set.  A removal pushes only the
+    vertices of its ball that were not pending already.  A failed probe pops
+    its vertex; vertices removed from the graph leave the heaps lazily, popped
+    and skipped when they reach the top.
     """
     order = tuple(rule_order)
     if not order:
         return
-    pending: dict[ReductionKind, set[int]] = {k: set(range(g.n)) for k in order}
+    # range(n) is sorted, so it is already a valid heap.
+    queues = [(kind, set(range(g.n)), list(range(g.n))) for kind in order]
 
     def dirty(removed: int, ball: set[int]) -> None:
-        for queue in pending.values():
-            queue |= ball
+        for _, pending, heap in queues:
+            fresh = ball - pending
+            if fresh:
+                pending |= fresh
+                for v in fresh:
+                    heappush(heap, v)
 
     g.removal_listener = dirty
     try:
         while True:
-            for kind in order:
+            for kind, pending, heap in queues:
                 func = _RULE_FUNCS[kind]
-                queue = pending[kind]
                 fired = False
-                for v in sorted(queue):
-                    if not g.is_active(v):
-                        queue.discard(v)
-                        continue
-                    if func(g, v, log) is not None:
+                while heap:
+                    v = heap[0]
+                    if g.is_active(v) and func(g, v, log) is not None:
                         counts[kind] += 1
                         fired = True
                         break
-                    queue.discard(v)
+                    heappop(heap)
+                    pending.discard(v)
                 if fired:
                     break
             else:

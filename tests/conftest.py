@@ -45,6 +45,37 @@ def random_tree(n: int, seed: int) -> StaticGraph:
     return StaticGraph.from_edges(n, [(rng.randrange(0, v), v) for v in range(1, n)])
 
 
+def preferential_attachment(n: int, k: int, seed: int) -> StaticGraph:
+    """Barabasi-Albert graph: a (k+1)-clique, then each new vertex links to k
+    distinct earlier ones picked with probability proportional to degree."""
+    rng = random.Random(seed)
+    edges = [(u, v) for v in range(k + 1) for u in range(v)]
+    # Every edge endpoint once, so a uniform pick is degree-proportional.
+    ends = [x for e in edges for x in e]
+    for v in range(k + 1, n):
+        targets: set[int] = set()
+        while len(targets) < k:
+            targets.add(ends[rng.randrange(len(ends))])
+        for u in sorted(targets):
+            edges.append((u, v))
+            ends += (u, v)
+    return StaticGraph.from_edges(n, edges)
+
+
+def random_geometric(n: int, radius: float, seed: int) -> StaticGraph:
+    """Points in the unit square, joined when closer than ``radius``."""
+    rng = random.Random(seed)
+    points = [(rng.random(), rng.random()) for _ in range(n)]
+    r2 = radius * radius
+    edges = [
+        (i, j)
+        for i, (xi, yi) in enumerate(points)
+        for j in range(i + 1, n)
+        if (xi - points[j][0]) ** 2 + (yi - points[j][1]) ** 2 < r2
+    ]
+    return StaticGraph.from_edges(n, edges)
+
+
 def induced_square_subgraph(g: StaticGraph, active: list[int]) -> SquareGraph:
     """Conflict instance of a partially reduced graph, rebuilt from scratch.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
@@ -44,6 +45,8 @@ from conftest import (
     gnp_graph,
     induced_square_subgraph,
     path_graph,
+    preferential_attachment,
+    random_geometric,
     random_tree,
     star_graph,
 )
@@ -417,9 +420,16 @@ def test_memoized_schedule_matches_plain_restart_policy():
                 return g, log
 
     rng = random.Random(4242)
-    for _ in range(80):
-        n = rng.randint(2, 12)
-        g = gnp_graph(n, rng.choice([0.15, 0.3, 0.6]), rng.randrange(10**6))
+    graphs = [
+        gnp_graph(rng.randint(2, 12), rng.choice([0.15, 0.3, 0.6]), rng.randrange(10**6))
+        for _ in range(80)
+    ]
+    # Hubs: long dirty queues, many failing probes between firings.
+    graphs += [
+        preferential_attachment(rng.randint(40, 120), rng.choice([1, 2, 3]), rng.randrange(10**6))
+        for _ in range(6)
+    ]
+    for g in graphs:
         for variant in (ReductionVariant.CORE, ReductionVariant.ELABORATED):
             kernel = reduce(g, variant)
             plain_graph, plain_log = plain_reduce(g, variant)
@@ -445,3 +455,145 @@ def test_kernel_partitions_vertices(full_corpus):
             logged = kernel.log.vertices()
             assert active | logged == set(range(g.n))
             assert not active & logged
+
+
+# -- reference rules and fixed reduction traces --------------------------------
+
+
+def reference_domination(g, v, log=None):
+    """Reference try_domination, built on the checked, copying accessors."""
+    two_v = g.two_neighbors(v)
+    one_v = g.neighbors(v)
+    size_v = len(one_v) + len(two_v) + 1
+    for u in sorted(two_v | one_v):
+        one_u = g.neighbors(u)
+        two_u = g.two_neighbors(u)
+        if len(one_u) + len(two_u) + 1 < size_v:
+            continue
+        if v not in one_u and v not in two_u:
+            continue
+        if all(x == u or x in one_u or x in two_u for x in one_v) and all(
+            x == u or x in one_u or x in two_u for x in two_v
+        ):
+            equal = size_v == len(one_u) + len(two_u) + 1
+            target = max(u, v) if equal else u
+            g.remove_vertex(target, VertexStatus.EXCLUDED)
+            if log is not None:
+                log.record(target, VertexStatus.EXCLUDED, ReductionKind.DOMINATION)
+            return target
+    return None
+
+
+def reference_fast_domination(g, v, log=None):
+    """Reference try_fast_domination, built on the checked, copying accessors."""
+    for u in sorted(g.neighbors(v)):
+        nv = g.neighbors(v)
+        nv.discard(u)
+        if nv <= g.neighbors(u) and two_neighborhood_confined(g, v, u):
+            g.remove_vertex(u, VertexStatus.EXCLUDED)
+            if log is not None:
+                log.record(u, VertexStatus.EXCLUDED, ReductionKind.FAST_DOMINATION)
+            return u
+    return None
+
+
+def graph_state(g: TwoLevelGraph):
+    """Everything a rule may change: statuses, both set families, lazy state, m2."""
+    return (
+        [g.status(v) for v in range(g.n)],
+        [frozenset(s) for s in g._one],
+        [frozenset(s) for s in g._two],
+        [g.is_materialized(v) for v in range(g.n)],
+        g.two_edge_count,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 16),
+    st.sampled_from([0.15, 0.3, 0.5]),
+    st.integers(0, 10**6),
+    st.lists(st.integers(0, 10**6), max_size=6),
+    st.lists(st.integers(0, 10**6), max_size=4),
+)
+def test_rules_match_reference(n, p, seed, removals, materialize):
+    """Each in-place rule returns the same vertex as its reference body and
+    leaves the same graph behind, including which vertices are materialized."""
+    base = TwoLevelGraph(gnp_graph(n, p, seed))
+    for pick in removals:
+        active = base.active_vertices()
+        if not active:
+            return
+        mark = VertexStatus.INCLUDED if pick % 2 else VertexStatus.EXCLUDED
+        base.remove_vertex(active[pick % len(active)], mark)
+    active = base.active_vertices()
+    for pick in materialize:
+        if active:
+            base.materialize_two_neighborhood(active[pick % len(active)])
+    for fast, reference in (
+        (try_domination, reference_domination),
+        (try_fast_domination, reference_fast_domination),
+    ):
+        for v in active:
+            got, want = base.clone(), base.clone()
+            got_log, want_log = ReductionLog(), ReductionLog()
+            assert fast(got, v, got_log) == reference(want, v, want_log), (fast.__name__, v)
+            assert graph_state(got) == graph_state(want), (fast.__name__, v)
+            assert [(e.vertex, e.decision, e.rule) for e in got_log.entries] == [
+                (e.vertex, e.decision, e.rule) for e in want_log.entries
+            ]
+
+
+# SHA-1 of the (vertex, decision, rule) log and the kernel's (n, m, m2) under
+# ELABORATED, recorded with rules built on the checked accessors (as in the
+# reference functions above).  m2 counts recorded conflict edges, so it also
+# pins which 2-neighborhoods the rules materialize.
+GOLDEN_TRACES = {
+    "hub": (
+        lambda: preferential_attachment(300, 3, seed=7),
+        "ce5bb46cecf972fd80aaac352871d1bf6e933b70",
+        (283, 518, 5803),
+    ),
+    "geometric": (
+        lambda: random_geometric(600, 0.065, seed=11),
+        "e75252515c52e43e9841e1d5766820e5a4aa77ea",
+        (81, 63, 123),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_reduction_trace_is_pinned(name):
+    make, digest, sizes = GOLDEN_TRACES[name]
+    kernel = reduce(make(), ReductionVariant.ELABORATED)
+    entries = [(e.vertex, e.decision.value, e.rule.value) for e in kernel.log.entries]
+    assert hashlib.sha1(repr(entries).encode()).hexdigest() == digest
+    assert (kernel.stats.n, kernel.stats.m, kernel.stats.m2) == sizes
+
+
+def test_domination_materializes_only_fresh_vertices(monkeypatch):
+    """A domination probe completes a 2-neighborhood at most once per vertex:
+    it never calls materialize_two_neighborhood on a materialized vertex."""
+    seen: list[bool] = []
+    original = TwoLevelGraph.materialize_two_neighborhood
+
+    def counting(self, v):
+        seen.append(self.is_materialized(v))
+        return original(self, v)
+
+    monkeypatch.setattr(TwoLevelGraph, "materialize_two_neighborhood", counting)
+    g = TwoLevelGraph(preferential_attachment(120, 3, seed=5))
+    fired = 0
+    for v in range(g.n):
+        if g.is_active(v):
+            fired += try_domination(g, v) is not None
+    assert fired > 0
+    assert len(seen) > 0
+    assert seen.count(True) == 0
+    # Every probe materialized its own vertex, so a second pass over the
+    # survivors finds everything materialized and makes no call.
+    first_pass = len(seen)
+    for v in g.active_vertices():
+        if g.is_active(v):
+            try_domination(g, v)
+    assert len(seen) == first_pass
