@@ -18,14 +18,14 @@ from .transform import SquareGraph
 
 @dataclass(frozen=True)
 class Deadline:
-    """Cooperative stopping rule: wall-clock budget polled every ``poll`` nodes.
+    """Cooperative stopping rule: a wall-clock budget and an optional node budget.
 
-    ``max_nodes`` bounds the search in nodes for reproducible runs; wall-clock
-    limits are advisory (checked only at poll points).
+    The solvers read the clock at every branch-and-bound node or local-search
+    iteration, so they overrun ``seconds`` by at most one node or iteration.
+    ``max_nodes`` bounds the search in nodes for reproducible runs.
     """
 
     seconds: float
-    poll: int = 256
     max_nodes: int | None = None
 
 
@@ -239,10 +239,9 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
     stack: list[tuple[int, int]] = [(full, 0)]
     nodes = 0
     aborted = False
-    poll = max(1, deadline.poll)
     while stack:
         nodes += 1
-        if nodes % poll == 0 and time.perf_counter() >= t_end:
+        if time.perf_counter() >= t_end:
             aborted = True
             break
         if deadline.max_nodes is not None and nodes > deadline.max_nodes:

@@ -33,7 +33,6 @@ class SolverConfig:
     edge_cap: int = DEFAULT_EDGE_CAP
     verify: bool = False
     max_nodes: int | None = None
-    poll: int = 256
 
     def __post_init__(self) -> None:
         if self.time_limit <= 0:
@@ -155,7 +154,7 @@ def solve_m2s(g: StaticGraph, cfg: SolverConfig) -> Solution:
     report.m_square = sq.m
 
     remaining = cfg.time_limit - (time.perf_counter() - t0)
-    deadline = Deadline(seconds=remaining, poll=cfg.poll, max_nodes=cfg.max_nodes)
+    deadline = Deadline(seconds=remaining, max_nodes=cfg.max_nodes)
     t2 = time.perf_counter()
     if cfg.mode is SolverMode.EXACT:
         result = exact_mis(sq, deadline, seed=cfg.seed)

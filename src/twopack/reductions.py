@@ -364,6 +364,31 @@ _RULE_FUNCS: dict[ReductionKind, Callable[..., Optional[int]]] = {
     ReductionKind.TWIN: try_twin,
 }
 
+# Degree window of each rule: (lowest, highest or None for unbounded).  Outside
+# its window a rule's probe reads only ``len(_one[v])`` and returns None, so
+# the scheduler never probes a vertex there.
+_DEGREE_WINDOWS: dict[ReductionKind, tuple[int, Optional[int]]] = {
+    ReductionKind.DOMINATION: (0, None),
+    ReductionKind.CLIQUE: (0, None),
+    ReductionKind.DEG_ZERO: (0, 0),
+    ReductionKind.DEG_ZERO_TRIANGLE: (0, 0),
+    ReductionKind.DEG_ONE: (1, 1),
+    ReductionKind.DEG_TWO_V_SHAPE: (2, 2),
+    ReductionKind.DEG_TWO_TRIANGLE: (2, 2),
+    ReductionKind.DEG_TWO_FOUR_CYCLE: (2, 2),
+    ReductionKind.TWIN: (2, 2),
+    ReductionKind.FAST_DOMINATION: (1, None),
+}
+
+# Degrees at or above this bound fall in the same windows.
+_DEGREE_CAP = 1 + max(b for window in _DEGREE_WINDOWS.values() for b in window if b is not None)
+
+
+def _admits(kind: ReductionKind, degree: int) -> bool:
+    """Whether a probe of ``kind`` on a vertex of this degree can fire."""
+    lo, hi = _DEGREE_WINDOWS[kind]
+    return lo <= degree and (hi is None or degree <= hi)
+
 
 def apply_rules_exhaustively(
     g: TwoLevelGraph,
@@ -374,43 +399,61 @@ def apply_rules_exhaustively(
     """Run the ordered rules to exhaustion, restarting after every application.
 
     Each rule is tried on active vertices in ascending ID; the first success
-    restarts the schedule at the first rule.  A probe that failed is not
-    repeated until some vertex at conflict distance <= 2 of the probed vertex
-    is removed: rule predicates depend only on that ball (conflicts between
-    surviving pairs never change, neighborhoods only shrink), so this skips
-    exactly the probes that would fail again and fires the same rule/vertex
-    sequence as the plain restart policy.
+    restarts the schedule at the first rule.  Two kinds of probes are
+    skipped, both because they would fail without touching the graph, so
+    the rule/vertex sequence is the one the plain restart policy fires:
+
+    * a probe that failed is not repeated until some vertex at conflict
+      distance <= 2 of the probed vertex is removed: rule predicates depend
+      only on that ball (conflicts between surviving pairs never change,
+      neighborhoods only shrink);
+    * a rule is probed only on vertices whose degree lies in its degree
+      window (see ``_DEGREE_WINDOWS``).  Degrees only shrink, and a removal
+      that changes a vertex's degree has it in its ball, so a vertex is
+      queued for a rule when its degree enters the window; one whose degree
+      has dropped below the window since it was queued is popped unprobed.
 
     Each rule keeps its pending vertices in a set and in a min-heap holding
     the same vertices, so a restart resumes the ascending scan at the heap's
-    top instead of sorting the pending set.  A removal pushes only the
-    vertices of its ball that were not pending already.  A failed probe pops
-    its vertex; vertices removed from the graph leave the heaps lazily, popped
-    and skipped when they reach the top.
+    top instead of sorting the pending set.  Every vertex at the start, and
+    every vertex of a removal's ball, is queued by reading its degree once
+    and pushing it, if not pending already, to the rules whose window admits
+    that degree.  A failed probe pops its vertex; vertices removed from the
+    graph leave the heaps lazily, popped and skipped when they reach the top.
     """
     order = tuple(rule_order)
     if not order:
         return
-    # range(n) is sorted, so it is already a valid heap.
-    queues = [(kind, set(range(g.n)), list(range(g.n))) for kind in order]
+    one, status, active = g._one, g._status, VertexStatus.ACTIVE
+    queues = [(kind, _DEGREE_WINDOWS[kind][0], set(), []) for kind in order]
+    # Degree (capped) -> pending sets and heaps of the rules it may fire.
+    by_degree = [
+        [(pending, heap) for kind, _, pending, heap in queues if _admits(kind, d)]
+        for d in range(_DEGREE_CAP + 1)
+    ]
 
-    def dirty(removed: int, ball: set[int]) -> None:
-        for _, pending, heap in queues:
-            fresh = ball - pending
-            if fresh:
-                pending |= fresh
-                for v in fresh:
-                    heappush(heap, v)
+    def mark(vertices: Iterable[int]) -> None:
+        for x in vertices:
+            d = len(one[x])
+            for pending, heap in by_degree[d if d < _DEGREE_CAP else _DEGREE_CAP]:
+                if x not in pending:
+                    pending.add(x)
+                    heappush(heap, x)
 
-    g.removal_listener = dirty
+    mark(range(g.n))
+    g.removal_listener = lambda removed, ball: mark(ball)
     try:
         while True:
-            for kind, pending, heap in queues:
+            for kind, lowest, pending, heap in queues:
                 func = _RULE_FUNCS[kind]
                 fired = False
                 while heap:
                     v = heap[0]
-                    if g.is_active(v) and func(g, v, log) is not None:
+                    if (
+                        status[v] is active
+                        and len(one[v]) >= lowest
+                        and func(g, v, log) is not None
+                    ):
                         counts[kind] += 1
                         fired = True
                         break

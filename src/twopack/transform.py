@@ -74,8 +74,12 @@ def square(g: TwoLevelGraph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> SquareGraph
     dense = {orig: i for i, orig in enumerate(active)}
     adjacency: list[tuple[int, ...]] = []
     directed = 0
+    # Read in place (see TwoLevelGraph): every row belongs to an active vertex.
+    one, two, materialized = g._one, g._two, g._materialized
     for orig in active:
-        merged = g.neighbors(orig) | g.two_neighbors(orig)
+        if not materialized[orig]:
+            g.materialize_two_neighborhood(orig)
+        merged = one[orig] | two[orig]
         directed += len(merged)
         if directed // 2 > edge_cap:
             raise EdgeCapExceeded(n=len(active), edges_seen=directed // 2, cap=edge_cap)

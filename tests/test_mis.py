@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twopack.mis
 from twopack import Deadline, StaticGraph, TwoLevelGraph, exact_mis, heuristic_mis, square
 from twopack.oracle import brute_alpha
 from twopack.transform import SquareGraph
@@ -58,13 +59,35 @@ class TestExact:
     def test_node_budget_abort_keeps_incumbent_valid(self):
         # needs a few hundred nodes to prove, so a 5-node budget must abort
         sq = as_square(gnp_graph(60, 0.2, 0))
-        res = exact_mis(sq, Deadline(seconds=30.0, poll=10**9, max_nodes=5))
+        res = exact_mis(sq, Deadline(seconds=30.0, max_nodes=5))
         assert not res.proven_optimal
         assert_independent(sq, res.vertices)
         assert res.size == len(res.vertices) >= 1
         full = exact_mis(sq, Deadline(seconds=30.0))
         assert full.proven_optimal
         assert res.size <= full.size == 16
+
+    def test_deadline_checked_at_every_node(self, monkeypatch):
+        """Under a clock that advances one second per reading, the search
+        stops at the first node whose clock reading reaches the deadline."""
+        readings: list[float] = []
+
+        class StepClock:
+            @staticmethod
+            def perf_counter() -> float:
+                readings.append(float(len(readings)))
+                return readings[-1]
+
+        monkeypatch.setattr(twopack.mis, "time", StepClock)
+        # needs a few hundred nodes to prove, so the 40 s deadline must stop it
+        res = exact_mis(as_square(gnp_graph(60, 0.2, 0)), Deadline(seconds=40.0))
+        assert not res.proven_optimal
+        # Readings: start, warm-start time to best, one per node (plus one per
+        # new incumbent), then the elapsed time.  The node that read 40.0 is
+        # the one that stopped the search.
+        assert readings[-2] == 40.0
+        assert res.elapsed == readings[-1]
+        assert 0 < res.nodes_explored <= 39
 
     def test_time_to_best_within_elapsed(self):
         res = exact_mis(as_square(gnp_graph(12, 0.4, 3)), LONG)

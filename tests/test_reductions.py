@@ -23,9 +23,12 @@ from twopack import (
     two_neighborhood_confined,
 )
 from twopack.oracle import brute_alpha
+import twopack.reductions as reductions
 from twopack.reductions import (
+    _DEGREE_WINDOWS,
     _RULE_FUNCS,
     ReductionLog,
+    _admits,
     try_clique,
     try_deg_one,
     try_deg_two_triangle,
@@ -597,3 +600,73 @@ def test_domination_materializes_only_fresh_vertices(monkeypatch):
         if g.is_active(v):
             try_domination(g, v)
     assert len(seen) == first_pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.sampled_from([0.1, 0.2, 0.35, 0.6]),
+    st.integers(0, 10**6),
+    st.lists(st.integers(0, 10**6), max_size=8),
+    st.lists(st.integers(0, 10**6), max_size=4),
+)
+def test_degree_windows_are_sound(n, p, seed, removals, materialize):
+    """Outside its degree window a rule's probe returns None and leaves the
+    graph and the log untouched, so the scheduler may skip it."""
+    base = TwoLevelGraph(gnp_graph(n, p, seed))
+    for pick in removals:
+        active = base.active_vertices()
+        if not active:
+            return
+        mark = VertexStatus.INCLUDED if pick % 2 else VertexStatus.EXCLUDED
+        base.remove_vertex(active[pick % len(active)], mark)
+    active = base.active_vertices()
+    for pick in materialize:
+        if active:
+            base.materialize_two_neighborhood(active[pick % len(active)])
+    before = graph_state(base)
+    for kind in _DEGREE_WINDOWS:
+        for v in active:
+            if _admits(kind, base.degree(v)):
+                continue
+            log = ReductionLog()
+            assert _RULE_FUNCS[kind](base, v, log) is None, (kind, v)
+            assert graph_state(base) == before, (kind, v)
+            assert len(log) == 0
+
+
+# Probes per GOLDEN_TRACES graph with every vertex of a removal's ball queued
+# for every rule, as before degree windows.
+PROBES_WITHOUT_WINDOWS = {"hub": 24229, "geometric": 45377}
+# Probes of the two rules whose window admits every degree; windows leave them as they were.
+EVERY_DEGREE_PROBES = {
+    "hub": {ReductionKind.DOMINATION: 1618, ReductionKind.CLIQUE: 283},
+    "geometric": {ReductionKind.DOMINATION: 1464, ReductionKind.CLIQUE: 81},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_probes_route_by_degree(name, monkeypatch):
+    """The scheduler probes a windowed rule only on vertices inside its window,
+    and so probes less than with unwindowed queues."""
+    probes: Counter = Counter()
+    outside: list[tuple[ReductionKind, int, int]] = []
+
+    def counting(kind, func):
+        def wrapped(g, v, log=None):
+            probes[kind] += 1
+            degree = len(g._one[v])
+            if not _admits(kind, degree):
+                outside.append((kind, v, degree))
+            return func(g, v, log)
+
+        return wrapped
+
+    for kind, func in list(reductions._RULE_FUNCS.items()):
+        monkeypatch.setitem(reductions._RULE_FUNCS, kind, counting(kind, func))
+    make, _, _ = GOLDEN_TRACES[name]
+    reduce(make(), ReductionVariant.ELABORATED)
+    assert outside == []
+    assert sum(probes.values()) < PROBES_WITHOUT_WINDOWS[name]
+    every_degree = EVERY_DEGREE_PROBES[name]
+    assert {kind: probes[kind] for kind in every_degree} == every_degree

@@ -14,12 +14,14 @@ from twopack import (
     ReductionVariant,
     StaticGraph,
     TwoLevelGraph,
+    VertexStatus,
     equivalence_check,
     reduce,
     square,
     verify_2ps,
 )
 from twopack.oracle import brute_alpha, brute_square
+from twopack.transform import SquareGraph
 
 from conftest import cycle_graph, gnp_graph, path_graph, star_graph
 
@@ -113,3 +115,42 @@ def test_independent_iff_packing_exhaustive(n, p, seed):
             independent = all(y not in adj[x] for x, y in combinations(subset, 2))
             assert independent == verify_2ps(g, set(subset))
             assert equivalence_check(g, sq, set(subset)) == independent
+
+
+def reference_square(g: TwoLevelGraph) -> SquareGraph:
+    """square() built on the checked, copying accessors."""
+    active = g.active_vertices()
+    dense = {orig: i for i, orig in enumerate(active)}
+    rows = [[dense[w] for w in g.neighbors(v) | g.two_neighbors(v)] for v in active]
+    return SquareGraph.from_adjacency(rows, to_original=active)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.sampled_from([0.15, 0.3, 0.5]),
+    st.integers(0, 10**6),
+    st.lists(st.integers(0, 10**6), max_size=6),
+    st.lists(st.integers(0, 10**6), max_size=4),
+)
+def test_square_matches_accessor_construction(n, p, seed, removals, materialize):
+    """square() reads the graph in place; it must build the same square and
+    leave the same materialization state as the public-accessor construction."""
+    base = TwoLevelGraph(gnp_graph(n, p, seed))
+    for pick in removals:
+        active = base.active_vertices()
+        if not active:
+            break
+        mark = VertexStatus.INCLUDED if pick % 2 else VertexStatus.EXCLUDED
+        base.remove_vertex(active[pick % len(active)], mark)
+    active = base.active_vertices()
+    for pick in materialize:
+        if active:
+            base.materialize_two_neighborhood(active[pick % len(active)])
+    got, want = base.clone(), base.clone()
+    assert square(got) == reference_square(want)
+    assert got._two == want._two
+    assert [got.is_materialized(v) for v in range(n)] == [
+        want.is_materialized(v) for v in range(n)
+    ]
+    assert got.two_edge_count == want.two_edge_count
