@@ -151,14 +151,13 @@ def _emit_solution(args, name: str, sol: Solution, status: str) -> None:
     _emit(args, CSV_HEADER, record.csv_row(), record.table())
 
 
-def _run_kernel_only(args, name: str, graph) -> int:
-    variant = ReductionVariant(args.reductions)
-    kernel = reduce(graph, variant)
+def _run_kernel_only(args, cfg: SolverConfig, name: str, graph) -> int:
+    kernel = reduce(graph, cfg.variant)
     try:
         if kernel.graph.active_count == 0:
             n_sq = m_sq = 0
         else:
-            sq = square(kernel.graph, edge_cap=args.edge_cap)
+            sq = square(kernel.graph, edge_cap=cfg.edge_cap)
             n_sq, m_sq = sq.n, sq.m
     except EdgeCapExceeded:
         print("error: square graph exceeds the edge cap", file=sys.stderr)
@@ -187,6 +186,18 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
+    try:
+        cfg = SolverConfig(
+            variant=ReductionVariant(args.reductions),
+            mode=SolverMode(args.solver),
+            time_limit=args.time_limit,
+            seed=args.seed,
+            edge_cap=args.edge_cap,
+            verify=args.verify,
+        )
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
 
     instance = InstanceFile(
         path=Path(args.input),
@@ -204,20 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.kernel_only:
-        return _run_kernel_only(args, name, graph)
-
-    try:
-        cfg = SolverConfig(
-            variant=ReductionVariant(args.reductions),
-            mode=SolverMode(args.solver),
-            time_limit=args.time_limit,
-            seed=args.seed,
-            edge_cap=args.edge_cap,
-            verify=args.verify,
-        )
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return _run_kernel_only(args, cfg, name, graph)
 
     try:
         sol = solve_m2s(graph, cfg)

@@ -83,6 +83,18 @@ def _greedy_maximal(n: int, nb: list[int], rng: Random) -> int:
     return sol
 
 
+def _first_fit(sq: SquareGraph) -> frozenset[int]:
+    """Maximal independent set in ascending vertex order, in O(n + m)."""
+    blocked = [False] * sq.n
+    chosen = []
+    for v, row in enumerate(sq.adjacency):
+        if not blocked[v]:
+            chosen.append(v)
+            for w in row:
+                blocked[w] = True
+    return frozenset(chosen)
+
+
 def _maximalize(n: int, nb: list[int], sol: int, rng: Random) -> int:
     free = [v for v in range(n) if not sol >> v & 1 and nb[v] & sol == 0]
     rng.shuffle(free)
@@ -218,11 +230,15 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
     pendant vertices are included, vertices with a dominated closed
     neighborhood excluded), then prunes with a greedy clique-cover bound.
     The initial incumbent comes from the local-search heuristic.  When the
-    deadline expires the best solution found so far is returned unproven.
+    deadline expires the best solution found so far is returned unproven; with
+    no budget left at the call (``deadline.seconds <= 0``) that is a first-fit
+    maximal independent set.
     """
     start = time.perf_counter()
     if deadline.seconds <= 0:
-        return MisResult(frozenset(), 0, False, 0, time.perf_counter() - start, 0.0)
+        chosen = _first_fit(sq)
+        elapsed = time.perf_counter() - start
+        return MisResult(chosen, len(chosen), False, 0, elapsed, elapsed)
     n = sq.n
     if n == 0:
         return MisResult(frozenset(), 0, True, 0, time.perf_counter() - start, 0.0)
@@ -273,12 +289,14 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
                 a ^= low
                 u = low.bit_length() - 1
                 nu = nb[u] & alive
-                closed_u = nu | low
+                # N[v] within N[u] for a neighbour v iff v has no alive
+                # neighbour outside N[u].
+                out_u = alive & ~(nu | low)
                 b = nu
                 while b:
                     vb = b & -b
                     b ^= vb
-                    if ((nb[vb.bit_length() - 1] & alive) | vb) & ~closed_u == 0:
+                    if not nb[vb.bit_length() - 1] & out_u:
                         alive ^= low
                         changed = True
                         break

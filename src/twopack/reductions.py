@@ -183,19 +183,36 @@ def two_neighborhood_confined(g: TwoLevelGraph, v: int, u: int) -> bool:
 # them, never ahead.
 
 
-def try_domination(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) -> Optional[int]:
+def try_domination(
+    g: TwoLevelGraph,
+    v: int,
+    log: Optional[ReductionLog] = None,
+    since: Optional[list[set[int]]] = None,
+) -> Optional[int]:
     """Exclude a vertex u whose closed 2-neighborhood contains that of v.
 
     Candidates are scanned in ascending ID among the conflict neighborhood of
     v; on equal closed 2-neighborhoods the larger ID is excluded.  Every
     candidate up to the excluded one has its 2-neighborhood materialized.
+
+    ``since``, if given, holds the balls (see ``TwoLevelGraph.removal_listener``)
+    of every removal that had v in its ball since a probe of v last failed.
+    Only candidates outside at least one of those balls are scanned.  The
+    predicate, C[v] within C[u] for the closed conflict neighborhoods, reads
+    only the conflict relation, which removing w changes only by deleting w.
+    A removal with v outside its ball leaves C[v] as it was and only shrinks
+    C[u]; one whose ball holds u deletes w from both.  So a candidate inside
+    every recorded ball still fails.  The failed probe materialized every
+    candidate it skips, so the filtered probe returns the same vertex and
+    materializes the same 2-neighborhoods as a full one.
     """
     one, two, materialized = g._one, g._two, g._materialized
     one_v = one[v]
     two_v = _two_set(g, v)
     size_v = len(one_v) + len(two_v) + 1
     conflict_v = one_v | two_v
-    for u in sorted(conflict_v):
+    candidates = conflict_v if since is None else conflict_v - conflict_v.intersection(*since)
+    for u in sorted(candidates):
         if not materialized[u]:
             g.materialize_two_neighborhood(u)
         one_u = one[u]
@@ -399,8 +416,8 @@ def apply_rules_exhaustively(
     """Run the ordered rules to exhaustion, restarting after every application.
 
     Each rule is tried on active vertices in ascending ID; the first success
-    restarts the schedule at the first rule.  Two kinds of probes are
-    skipped, both because they would fail without touching the graph, so
+    restarts the schedule at the first rule.  Three kinds of work are
+    skipped, all because they would fail without touching the graph, so
     the rule/vertex sequence is the one the plain restart policy fires:
 
     * a probe that failed is not repeated until some vertex at conflict
@@ -411,7 +428,11 @@ def apply_rules_exhaustively(
       window (see ``_DEGREE_WINDOWS``).  Degrees only shrink, and a removal
       that changes a vertex's degree has it in its ball, so a vertex is
       queued for a rule when its degree enters the window; one whose degree
-      has dropped below the window since it was queued is popped unprobed.
+      has dropped below the window since it was queued is popped unprobed;
+    * a ``DOMINATION`` probe on a vertex whose last such probe failed scans
+      only the candidates that some removal since then may have freed: it
+      receives the balls of those removals (see ``try_domination``).  Its
+      materializations are those of a full probe.
 
     Each rule keeps its pending vertices in a set and in a min-heap holding
     the same vertices, so a restart resumes the ascending scan at the heap's
@@ -440,23 +461,41 @@ def apply_rules_exhaustively(
                     pending.add(x)
                     heappush(heap, x)
 
+    # Per vertex: the balls of the removals since its last failed DOMINATION
+    # probe, or None if that probe never failed or last fired.  A removed
+    # vertex drops its record, so that only records still to be read keep
+    # balls alive.
+    since: list[Optional[list[set[int]]]] = [None] * g.n
+
+    def on_removal(removed: int, ball: set[int]) -> None:
+        since[removed] = None
+        mark(ball)
+        for x in ball:
+            balls = since[x]
+            if balls is not None:
+                balls.append(ball)
+
     mark(range(g.n))
-    g.removal_listener = lambda removed, ball: mark(ball)
+    g.removal_listener = on_removal
     try:
         while True:
             for kind, lowest, pending, heap in queues:
                 func = _RULE_FUNCS[kind]
+                domination = kind is ReductionKind.DOMINATION
                 fired = False
                 while heap:
                     v = heap[0]
-                    if (
-                        status[v] is active
-                        and len(one[v]) >= lowest
-                        and func(g, v, log) is not None
-                    ):
-                        counts[kind] += 1
-                        fired = True
-                        break
+                    if status[v] is active and len(one[v]) >= lowest:
+                        if domination:
+                            # Positional: probe wrappers may forward only *args.
+                            hit = func(g, v, log, since[v])
+                            since[v] = None if hit is not None else []
+                        else:
+                            hit = func(g, v, log)
+                        if hit is not None:
+                            counts[kind] += 1
+                            fired = True
+                            break
                     heappop(heap)
                     pending.discard(v)
                 if fired:

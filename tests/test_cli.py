@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import twopack
 from twopack.cli import CSV_HEADER, main
 from twopack.graphio import write_metis
 
@@ -127,6 +129,18 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "--input", str(p4_file), "--time-limit", "0")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "bad", [("--edge-cap", "-5"), ("--edge-cap", "0"), ("--time-limit", "0")]
+    )
+    @pytest.mark.parametrize("reductions", ["2pack", "elaborated"])
+    def test_kernel_only_validates_config(self, capsys, p4_file, bad, reductions):
+        code, out, err = run_cli(
+            capsys,
+            "--input", str(p4_file), "--reductions", reductions, "--kernel-only", *bad,
+        )
+        assert code == 1
+        assert "usage error" in err and out == ""
+
     def test_timeout_is_two(self, capsys, tmp_path):
         path = tmp_path / "c6.graph"
         path.write_text(write_metis(cycle_graph(6)))
@@ -175,10 +189,13 @@ class TestExitCodes:
 
 
 def test_module_invocation_help():
+    # ``-m`` puts the working directory on the path: run next to the package
+    # this suite imports, installed or not.
     proc = subprocess.run(
         [sys.executable, "-m", "twopack", "--help"],
         capture_output=True,
         text=True,
+        cwd=Path(twopack.__file__).resolve().parent.parent,
     )
     assert proc.returncode == 0
     assert "--reductions" in proc.stdout

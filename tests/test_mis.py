@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twopack.mis
-from twopack import Deadline, StaticGraph, TwoLevelGraph, exact_mis, heuristic_mis, square
+from twopack import (
+    Deadline,
+    ReductionVariant,
+    StaticGraph,
+    TwoLevelGraph,
+    exact_mis,
+    heuristic_mis,
+    reduce,
+    square,
+)
 from twopack.oracle import brute_alpha
 from twopack.transform import SquareGraph
 
-from conftest import complete_graph, cycle_graph, gnp_graph, path_graph
+from conftest import complete_graph, cycle_graph, gnp_graph, path_graph, preferential_attachment
 
 LONG = Deadline(seconds=30.0)
 
@@ -33,6 +43,52 @@ def assert_maximal(sq: SquareGraph, vertices):
             assert set(sq.adjacency[v]) & chosen, f"vertex {v} could be added"
 
 
+def kernel_square(g: StaticGraph) -> SquareGraph:
+    return square(reduce(g, ReductionVariant.ELABORATED).graph)
+
+
+# name -> (square, max_nodes, (size, nodes_explored, sorted vertices)) of
+# exact_mis with seed 1, recorded with the full-mask dominance test
+# ``((N(v) & alive) | v) & ~N[u] == 0``.  The two "abort" searches stop at
+# the node budget; the others finish with a proof.
+PINNED_SEARCHES = {
+    "gnp-square": (
+        lambda: square(TwoLevelGraph(gnp_graph(150, 0.025, 17))),
+        2000,
+        (39, 57, [10, 18, 20, 21, 23, 26, 27, 28, 30, 35, 38, 44, 46, 53, 63, 64, 67, 69,
+                  75, 83, 87, 89, 91, 92, 102, 104, 107, 108, 111, 112, 115, 116, 123, 125,
+                  128, 132, 135, 141, 143]),
+    ),
+    "gnp-square-abort": (
+        lambda: square(TwoLevelGraph(gnp_graph(120, 0.035, 3))),
+        300,
+        (26, 301, [4, 6, 8, 10, 16, 27, 43, 49, 54, 57, 60, 67, 68, 69, 70, 81, 82, 84,
+                   87, 92, 95, 103, 110, 117, 118, 119]),
+    ),
+    "gnp-kernel": (
+        lambda: kernel_square(gnp_graph(100, 0.04, 9)),
+        2000,
+        (15, 33, [2, 3, 5, 6, 10, 11, 15, 17, 21, 26, 33, 36, 37, 48, 52]),
+    ),
+    "pa-kernel-60": (
+        lambda: kernel_square(preferential_attachment(60, 3, 5)),
+        2000,
+        (8, 33, [12, 22, 25, 29, 32, 33, 34, 42]),
+    ),
+    "pa-kernel-90": (
+        lambda: kernel_square(preferential_attachment(90, 3, 1)),
+        2000,
+        (11, 135, [1, 11, 13, 23, 38, 45, 50, 55, 63, 64, 66]),
+    ),
+    "pa-kernel-150-abort": (
+        lambda: kernel_square(preferential_attachment(150, 3, 2)),
+        20,
+        (20, 21, [20, 32, 49, 76, 96, 98, 99, 100, 102, 103, 109, 110, 111, 117, 119, 120,
+                  125, 136, 137, 138]),
+    ),
+}
+
+
 class TestExact:
     def test_k3(self):
         res = exact_mis(as_square(complete_graph(3)), LONG)
@@ -51,10 +107,14 @@ class TestExact:
         res = exact_mis(as_square(StaticGraph.from_edges(0, [])), LONG)
         assert res.size == 0 and res.proven_optimal
 
-    def test_nonpositive_deadline_returns_empty_unproven(self):
-        res = exact_mis(as_square(complete_graph(3)), Deadline(seconds=0.0))
-        assert res.size == 0 and res.vertices == frozenset()
-        assert not res.proven_optimal
+    def test_nonpositive_deadline_returns_maximal_unproven(self):
+        sq = square(TwoLevelGraph(gnp_graph(40, 0.08, 3)))
+        for seconds in (0.0, -1.0):
+            res = exact_mis(sq, Deadline(seconds=seconds))
+            assert not res.proven_optimal and res.nodes_explored == 0
+            assert res.size == len(res.vertices) > 0
+            assert_independent(sq, res.vertices)
+            assert_maximal(sq, res.vertices)
 
     def test_node_budget_abort_keeps_incumbent_valid(self):
         # needs a few hundred nodes to prove, so a 5-node budget must abort
@@ -109,6 +169,14 @@ class TestExact:
         b = exact_mis(sq, Deadline(seconds=60.0, max_nodes=50), seed=4)
         assert a.vertices == b.vertices and a.size == b.size
         assert a.nodes_explored == b.nodes_explored
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
+    def test_search_is_pinned(self, name):
+        """Size, nodes and answer under a node budget are those of the
+        reference build: the in-node reductions remove the same vertices."""
+        make, max_nodes, pinned = PINNED_SEARCHES[name]
+        res = exact_mis(make(), Deadline(seconds=600.0, max_nodes=max_nodes), seed=1)
+        assert (res.size, res.nodes_explored, sorted(res.vertices)) == pinned
 
 
 class TestHeuristic:

@@ -547,6 +547,45 @@ def test_rules_match_reference(n, p, seed, removals, materialize):
             ]
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 18),
+    st.sampled_from([0.15, 0.3, 0.5]),
+    st.integers(0, 10**6),
+    st.lists(st.integers(0, 10**6), max_size=4),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+)
+def test_filtered_domination_matches_full_probe(n, p, seed, before, after):
+    """After a failed domination probe on v and further removals, a probe
+    given the balls of the removals that reached v returns the same vertex as
+    a full probe and leaves the same graph and log."""
+    base = TwoLevelGraph(gnp_graph(n, p, seed))
+    for pick in before:
+        active = base.active_vertices()
+        if not active:
+            return
+        base.remove_vertex(active[pick % len(active)], VertexStatus.EXCLUDED)
+    for v in base.active_vertices():
+        g = base.clone()
+        if try_domination(g, v) is not None:
+            continue
+        balls: list[set[int]] = []
+        g.removal_listener = lambda w, ball: balls.append(ball) if v in ball else None
+        for pick in after:
+            others = [x for x in g.active_vertices() if x != v]
+            if not others:
+                break
+            mark = VertexStatus.INCLUDED if pick % 2 else VertexStatus.EXCLUDED
+            g.remove_vertex(others[pick % len(others)], mark)
+        got, want = g.clone(), g.clone()
+        got_log, want_log = ReductionLog(), ReductionLog()
+        assert try_domination(got, v, got_log, balls) == try_domination(want, v, want_log), v
+        assert graph_state(got) == graph_state(want), v
+        assert [(e.vertex, e.decision, e.rule) for e in got_log.entries] == [
+            (e.vertex, e.decision, e.rule) for e in want_log.entries
+        ]
+
+
 # SHA-1 of the (vertex, decision, rule) log and the kernel's (n, m, m2) under
 # ELABORATED, recorded with rules built on the checked accessors (as in the
 # reference functions above).  m2 counts recorded conflict edges, so it also
@@ -653,12 +692,12 @@ def test_probes_route_by_degree(name, monkeypatch):
     outside: list[tuple[ReductionKind, int, int]] = []
 
     def counting(kind, func):
-        def wrapped(g, v, log=None):
+        def wrapped(g, v, log=None, *rest):
             probes[kind] += 1
             degree = len(g._one[v])
             if not _admits(kind, degree):
                 outside.append((kind, v, degree))
-            return func(g, v, log)
+            return func(g, v, log, *rest)
 
         return wrapped
 
