@@ -35,8 +35,11 @@ class SolverConfig:
     max_nodes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.time_limit <= 0:
+        # ``not > 0`` also rejects NaN, which compares false with everything.
+        if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ValueError("max_nodes must be non-negative")
         if self.edge_cap <= 0:
             raise ValueError("edge_cap must be positive")
 

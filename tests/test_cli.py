@@ -129,8 +129,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "--input", str(p4_file), "--time-limit", "0")
         assert code == 1
 
+    def test_nan_time_limit_is_one(self, capsys, p4_file):
+        code, out, err = run_cli(capsys, "--input", str(p4_file), "--time-limit", "nan")
+        assert code == 1
+        assert "usage error" in err and out == ""
+
     @pytest.mark.parametrize(
-        "bad", [("--edge-cap", "-5"), ("--edge-cap", "0"), ("--time-limit", "0")]
+        "bad",
+        [("--edge-cap", "-5"), ("--edge-cap", "0"), ("--time-limit", "0"), ("--time-limit", "nan")],
     )
     @pytest.mark.parametrize("reductions", ["2pack", "elaborated"])
     def test_kernel_only_validates_config(self, capsys, p4_file, bad, reductions):

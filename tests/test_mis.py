@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+from random import Random
+from typing import Callable, Optional
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +24,14 @@ from twopack import (
 from twopack.oracle import brute_alpha
 from twopack.transform import SquareGraph
 
-from conftest import complete_graph, cycle_graph, gnp_graph, path_graph, preferential_attachment
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    path_graph,
+    preferential_attachment,
+    random_geometric,
+)
 
 LONG = Deadline(seconds=30.0)
 
@@ -87,6 +98,132 @@ PINNED_SEARCHES = {
                   125, 136, 137, 138]),
     ),
 }
+
+
+# name -> (square, max_nodes, (size, nodes_explored, sorted vertices), SHA-1 of
+# the swap observer's (before, after) calls) of heuristic_mis with seed 1,
+# recorded with the local search that rescanned every member's neighbours.
+PINNED_ILS = {
+    "gnp-square": (
+        lambda: square(TwoLevelGraph(gnp_graph(150, 0.025, 17))),
+        60,
+        (39, 60, [4, 10, 15, 16, 18, 21, 26, 27, 28, 32, 35, 44, 53, 63, 64, 67, 69, 75, 77,
+                  80, 83, 84, 87, 89, 91, 104, 107, 111, 112, 115, 116, 123, 125, 128, 132,
+                  135, 141, 143, 147]),
+        "4402934119276168696d8a116832e68480239b47",
+    ),
+    "gnp-square-dense": (
+        lambda: square(TwoLevelGraph(gnp_graph(120, 0.05, 3))),
+        60,
+        (20, 60, [3, 6, 10, 22, 49, 50, 59, 69, 80, 81, 82, 84, 86, 95, 103, 105, 110, 112,
+                  117, 118]),
+        "8ec09aa228fbb8340478d4981db79d1c19ebd2f1",
+    ),
+    "gnp-kernel": (
+        lambda: kernel_square(gnp_graph(200, 0.03, 9)),
+        60,
+        (27, 60, [2, 10, 25, 28, 34, 41, 46, 51, 53, 65, 69, 71, 78, 90, 93, 105, 120, 121,
+                  125, 128, 132, 136, 144, 145, 154, 163, 175]),
+        "38bf7b09b4fb541ba79dda4f1615d9116cdd70c1",
+    ),
+    "pa-kernel-90": (
+        lambda: kernel_square(preferential_attachment(90, 3, 1)),
+        60,
+        (11, 60, [1, 11, 13, 23, 38, 45, 50, 55, 63, 64, 66]),
+        "ed5c516d312b52b151e23dd93f3dce23bd82bfd9",
+    ),
+    "pa-kernel-150": (
+        lambda: kernel_square(preferential_attachment(150, 3, 2)),
+        60,
+        (20, 60, [20, 32, 49, 76, 96, 98, 99, 100, 102, 103, 109, 110, 111, 117, 119, 120,
+                  125, 136, 137, 138]),
+        "e9dbcae66d6d515b8079c75b007e4dba7aafd661",
+    ),
+    "geometric-kernel": (
+        lambda: kernel_square(random_geometric(500, 0.08, 11)),
+        60,
+        (39, 60, [3, 7, 8, 9, 13, 14, 15, 30, 31, 32, 37, 41, 42, 44, 61, 65, 67, 68, 72, 73,
+                  77, 78, 82, 98, 101, 102, 103, 104, 105, 113, 118, 124, 130, 134, 138, 146,
+                  148, 151, 163]),
+        "1290d4fb6e4cd32f855c132b8d0e75e39ca64dd0",
+    ),
+}
+
+
+# -- reference local search ------------------------------------------------------
+
+
+def reference_maximalize(n: int, nb: list[int], sol: int, rng: Random) -> int:
+    """Reference _maximalize: free vertices found by testing every vertex."""
+    free = [v for v in range(n) if not sol >> v & 1 and nb[v] & sol == 0]
+    rng.shuffle(free)
+    for v in free:
+        if nb[v] & sol == 0:
+            sol |= 1 << v
+    return sol
+
+
+def reference_swap_pass(
+    n: int,
+    nb: list[int],
+    sol: int,
+    rng: Random,
+    observer: Optional[Callable[[int, int], None]],
+) -> tuple[int, bool]:
+    """Reference _swap_pass: each member's 1-tight neighbours found one by one."""
+    members = [v for v in range(n) if sol >> v & 1]
+    rng.shuffle(members)
+    for v in members:
+        bit_v = 1 << v
+        candidates = []
+        others = nb[v]
+        while others:
+            low = others & -others
+            others ^= low
+            u = low.bit_length() - 1
+            if not sol >> u & 1 and nb[u] & sol == bit_v:
+                candidates.append(u)
+        for i, u1 in enumerate(candidates):
+            for u2 in candidates[i + 1 :]:
+                if not nb[u1] >> u2 & 1:
+                    swapped = (sol & ~bit_v) | (1 << u1) | (1 << u2)
+                    if observer is not None:
+                        observer(sol, swapped)
+                    return swapped, True
+    return sol, False
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.sampled_from([0.08, 0.15, 0.3, 0.5]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from([0.1, 0.3, 0.6]),
+    st.booleans(),
+)
+def test_local_search_matches_reference(n, p, seed, pick_seed, density, independent):
+    """_maximalize and _swap_pass return the same mask, make the same observer
+    calls and leave the generator in the same state as the reference bodies,
+    on independent sets and on arbitrary vertex sets."""
+    nb = twopack.mis._adjacency_masks(as_square(gnp_graph(n, p, seed)))
+    picker = Random(pick_seed)
+    sol = 0
+    for v in range(n):
+        if picker.random() < density and not (independent and nb[v] & sol):
+            sol |= 1 << v
+    got_rng, want_rng = Random(pick_seed), Random(pick_seed)
+    assert twopack.mis._maximalize(n, nb, sol, got_rng) == reference_maximalize(
+        n, nb, sol, want_rng
+    )
+    assert got_rng.getstate() == want_rng.getstate()
+    got_calls: list[tuple[int, int]] = []
+    want_calls: list[tuple[int, int]] = []
+    got = twopack.mis._swap_pass(nb, sol, got_rng, lambda b, a: got_calls.append((b, a)))
+    want = reference_swap_pass(n, nb, sol, want_rng, lambda b, a: want_calls.append((b, a)))
+    assert got == want
+    assert got_calls == want_calls
+    assert got_rng.getstate() == want_rng.getstate()
 
 
 class TestExact:
@@ -236,3 +373,19 @@ class TestHeuristic:
                 assert not adj[v] & chosen
         heuristic_mis(sq, Deadline(seconds=2.0, max_nodes=25), seed=1, _swap_observer=observer)
         assert accepted >= 1
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ILS))
+    def test_search_is_pinned(self, name):
+        """Answer, iterations and every accepted swap under a node budget are
+        those of the reference build: the local search follows the same
+        trajectory, drawing the same random numbers."""
+        make, max_nodes, pinned, digest = PINNED_ILS[name]
+        calls: list[tuple[int, int]] = []
+        res = heuristic_mis(
+            make(),
+            Deadline(seconds=600.0, max_nodes=max_nodes),
+            seed=1,
+            _swap_observer=lambda before, after: calls.append((before, after)),
+        )
+        assert (res.size, res.nodes_explored, sorted(res.vertices)) == pinned
+        assert hashlib.sha1(repr(calls).encode()).hexdigest() == digest

@@ -144,6 +144,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(time_limit=0)
 
+    def test_time_limit_nan_rejected(self):
+        with pytest.raises(ValueError):
+            SolverConfig(time_limit=float("nan"))
+
+    def test_infinite_time_limit_means_no_clock(self):
+        sol = solve_m2s(cycle_graph(9), SolverConfig(time_limit=float("inf")))
+        assert sol.size == 3 and sol.proven_optimal
+
+    def test_negative_node_budget_rejected(self):
+        with pytest.raises(ValueError):
+            SolverConfig(max_nodes=-1)
+        SolverConfig(max_nodes=0)
+
     def test_edge_cap_positive(self):
         with pytest.raises(ValueError):
             SolverConfig(edge_cap=0)
