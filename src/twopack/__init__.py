@@ -39,7 +39,6 @@ from .reductions import (
     ReductionVariant,
     reconstruct,
     reduce,
-    two_neighborhood_confined,
 )
 from .transform import (
     DEFAULT_EDGE_CAP,
@@ -91,7 +90,6 @@ __all__ = [
     "reduce",
     "solve_m2s",
     "square",
-    "two_neighborhood_confined",
     "verify_2ps",
     "write_edgelist",
     "write_metis",

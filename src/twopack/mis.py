@@ -26,7 +26,11 @@ class Deadline:
     """Cooperative stopping rule: a wall-clock budget and an optional node budget.
 
     The solvers read the clock at every branch-and-bound node or local-search
-    iteration, so they overrun ``seconds`` by at most one node or iteration.
+    iteration, so past their warm start they overrun ``seconds`` by at most
+    one node or iteration.  The warm start (a greedy maximal set taken to a
+    local optimum) never reads the clock and runs to completion however
+    little budget is left; with none left at the call (``seconds <= 0``)
+    both solvers skip it and return a first-fit maximal set, unproven.
     ``max_nodes`` bounds the search in nodes for reproducible runs.
     """
 
@@ -97,8 +101,9 @@ def _greedy_maximal(n: int, nb: list[int], rng: Random) -> int:
     return sol
 
 
-def _first_fit(sq: SquareGraph) -> frozenset[int]:
-    """Maximal independent set in ascending vertex order, in O(n + m)."""
+def _first_fit(sq: SquareGraph, start: float) -> MisResult:
+    """The answer with no budget left: a maximal independent set in ascending
+    vertex order, in O(n + m), unproven and with no nodes explored."""
     blocked = [False] * sq.n
     chosen = []
     for v, row in enumerate(sq.adjacency):
@@ -106,7 +111,8 @@ def _first_fit(sq: SquareGraph) -> frozenset[int]:
             chosen.append(v)
             for w in row:
                 blocked[w] = True
-    return frozenset(chosen)
+    elapsed = time.perf_counter() - start
+    return MisResult(frozenset(chosen), len(chosen), False, 0, elapsed, elapsed)
 
 
 def _maximalize(n: int, nb: list[int], sol: int, rng: Random) -> int:
@@ -188,9 +194,13 @@ def heuristic_mis(
     same answer, iterations and accepted swaps.
 
     Always returns a maximal independent set; optimality is only claimed in
-    the trivial edgeless case.
+    the trivial edgeless case.  With no budget left at the call
+    (``deadline.seconds <= 0``) that set is a first-fit one, unproven, as in
+    ``exact_mis``.
     """
     start = time.perf_counter()
+    if deadline.seconds <= 0:
+        return _first_fit(sq, start)
     n = sq.n
     if n == 0:
         return MisResult(frozenset(), 0, True, 0, time.perf_counter() - start, 0.0)
@@ -266,9 +276,7 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
     """
     start = time.perf_counter()
     if deadline.seconds <= 0:
-        chosen = _first_fit(sq)
-        elapsed = time.perf_counter() - start
-        return MisResult(chosen, len(chosen), False, 0, elapsed, elapsed)
+        return _first_fit(sq, start)
     n = sq.n
     if n == 0:
         return MisResult(frozenset(), 0, True, 0, time.perf_counter() - start, 0.0)

@@ -325,6 +325,19 @@ class TestHeuristic:
         res = heuristic_mis(as_square(StaticGraph.from_edges(4, [])), LONG)
         assert res.size == 4 and res.proven_optimal
 
+    def test_nonpositive_deadline_returns_maximal_unproven(self, monkeypatch):
+        def no_warm_start(*args):
+            raise AssertionError("warm start run with no budget left")
+
+        monkeypatch.setattr(twopack.mis, "_greedy_maximal", no_warm_start)
+        sq = square(TwoLevelGraph(gnp_graph(40, 0.08, 3)))
+        for seconds in (0.0, -1.0):
+            res = heuristic_mis(sq, Deadline(seconds=seconds))
+            assert not res.proven_optimal and res.nodes_explored == 0
+            assert res.size == len(res.vertices) > 0
+            assert_independent(sq, res.vertices)
+            assert_maximal(sq, res.vertices)
+
     def test_square_c6_finds_antipodal_pair(self):
         res = heuristic_mis(square(TwoLevelGraph(cycle_graph(6))), Deadline(2.0))
         assert res.size == 2

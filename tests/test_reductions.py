@@ -20,7 +20,6 @@ from twopack import (
     brute_beta,
     reconstruct,
     reduce,
-    two_neighborhood_confined,
 )
 from twopack.oracle import brute_alpha
 import twopack.reductions as reductions
@@ -31,14 +30,8 @@ from twopack.reductions import (
     _admits,
     try_clique,
     try_deg_one,
-    try_deg_two_triangle,
     try_deg_zero,
-    try_deg_zero_triangle,
     try_domination,
-    try_fast_domination,
-    try_four_cycle,
-    try_twin,
-    try_v_shape,
 )
 
 from conftest import (
@@ -70,13 +63,7 @@ class TestVariantOrders:
     def test_elaborated_order(self):
         assert ReductionVariant.ELABORATED.rule_order == (
             ReductionKind.DEG_ZERO,
-            ReductionKind.DEG_ZERO_TRIANGLE,
             ReductionKind.DEG_ONE,
-            ReductionKind.DEG_TWO_TRIANGLE,
-            ReductionKind.DEG_TWO_FOUR_CYCLE,
-            ReductionKind.DEG_TWO_V_SHAPE,
-            ReductionKind.TWIN,
-            ReductionKind.FAST_DOMINATION,
             ReductionKind.DOMINATION,
             ReductionKind.CLIQUE,
         )
@@ -86,29 +73,40 @@ class TestVariantOrders:
 
 
 class TestConfinedTest:
+    """Cases of the retired fast-domination counting test (v adjacent to u,
+    N[v] within N[u], N2(v) = N[u] minus N[v]), named as that test saw them.
+    DOMINATION excludes a dominating vertex in each, and needs neither
+    precondition."""
+
     def test_p3_equality_case(self):
         g = TwoLevelGraph(path_graph(3))
-        assert two_neighborhood_confined(g, 0, 1) is True
+        closed = [g.two_neighbors(v) | g.neighbors(v) | {v} for v in (0, 1)]
+        assert closed[0] == closed[1]
+        assert try_domination(g, 0) == 1
 
     def test_star_leaf(self):
         g = TwoLevelGraph(star_graph(3, center=0))
-        assert two_neighborhood_confined(g, 1, 0) is True
+        # Leaf 1 and hub 0 have equal closed 2-neighborhoods: the larger ID goes.
+        assert try_domination(g, 1) == 1
+        assert g.status(0) is VertexStatus.ACTIVE
 
     def test_p4_confirms_set_identity(self):
         g = TwoLevelGraph(path_graph(4))
-        assert two_neighborhood_confined(g, 0, 1) is True
-        assert g.two_neighbors(0) == {2}
         assert g.two_neighbors(0) == (g.neighbors(1) | {1}) - (g.neighbors(0) | {0})
+        assert try_domination(g, 0) == 1
 
     def test_precondition_not_adjacent(self):
-        g = TwoLevelGraph(path_graph(4))
-        with pytest.raises(GraphError):
-            two_neighborhood_confined(g, 0, 2)
+        # Vertex 2 dominates 0 through conflict edges left by removed vertices.
+        g = TwoLevelGraph(path_graph(5))
+        g.remove_vertex(1, VertexStatus.EXCLUDED)
+        g.remove_vertex(3, VertexStatus.EXCLUDED)
+        assert not g.has_edge(0, 2)
+        assert try_domination(g, 0) == 2
 
     def test_precondition_not_contained(self):
         g = TwoLevelGraph(path_graph(4))
-        with pytest.raises(GraphError):
-            two_neighborhood_confined(g, 2, 1)
+        assert not g.neighbors(2) | {2} <= g.neighbors(1) | {1}
+        assert try_domination(g, 2) == 2
 
 
 class TestDomination:
@@ -161,21 +159,25 @@ class TestDegZero:
         g.remove_vertex(3, VertexStatus.EXCLUDED)
         assert g.degree(2) == 0 and g.degree2(2) == 2
         assert try_deg_zero(g, 2) is None
-        assert try_deg_zero_triangle(g, 2) is None
+        assert try_clique(g, 2) is None
 
 
 class TestDegZeroTriangle:
+    """Cases of the retired DEG_ZERO_TRIANGLE rule: CLIQUE includes the vertex."""
+
     def test_star_residual(self):
         g = TwoLevelGraph(centered_star())
         g.remove_vertex(1, VertexStatus.EXCLUDED)
-        assert try_deg_zero_triangle(g, 0) == 0
+        assert try_clique(g, 0) == 0
         assert g.active_count == 0
 
     def test_three_two_neighbors_blocked(self):
+        # Too many conflict neighbors for the triangle rule, but they form a clique.
         g = TwoLevelGraph(star_graph(4, center=0))
         g.remove_vertex(0, VertexStatus.EXCLUDED)
         assert g.degree2(1) == 3
-        assert try_deg_zero_triangle(g, 1) is None
+        assert try_clique(g, 1) == 1
+        assert g.active_count == 0
 
 
 class TestDegOne:
@@ -196,86 +198,122 @@ class TestDegOne:
 
 
 class TestVShape:
+    """Cases of the retired DEG_TWO_V_SHAPE rule: CLIQUE or the four-rule
+    ``elaborated`` reduces them, and where the rule was blocked ``elaborated``
+    still reaches the optimum."""
+
     def test_p3_center(self):
         g = TwoLevelGraph(path_graph(3))
-        assert try_v_shape(g, 1) == 1
+        assert try_clique(g, 1) == 1
         assert g.active_count == 0
 
     def test_k3_degenerate(self):
-        g = TwoLevelGraph(complete_graph(3))
-        assert try_v_shape(g, 0) == 0
+        kernel = reduce(complete_graph(3), ReductionVariant.ELABORATED)
+        assert kernel.graph.active_count == 0
+        assert kernel.log.offset == 1
 
     def test_p5_center_blocked(self):
-        g = TwoLevelGraph(path_graph(5))
-        assert try_v_shape(g, 2) is None
+        kernel = reduce(path_graph(5), ReductionVariant.ELABORATED)
+        assert kernel.graph.active_count == 0
+        assert kernel.log.offset == brute_beta(path_graph(5))[0] == 2
+        assert 2 not in kernel.log.included()
 
 
 class TestDegTwoTriangle:
+    """Cases of the retired DEG_TWO_TRIANGLE rule: CLIQUE includes the vertex,
+    also where the rule was blocked."""
+
     def test_k3(self):
         g = TwoLevelGraph(complete_graph(3))
-        assert try_deg_two_triangle(g, 0) == 0
+        assert try_clique(g, 0) == 0
         assert g.active_count == 0
 
     def test_pendant_on_neighbor_blocks(self):
         g = StaticGraph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
         tlg = TwoLevelGraph(g)
-        assert try_deg_two_triangle(tlg, 1) is None
+        assert try_clique(tlg, 1) == 1
+        assert tlg.active_count == 0
 
     def test_c4_blocked(self):
         g = TwoLevelGraph(cycle_graph(4))
-        assert try_deg_two_triangle(g, 0) is None
+        assert try_clique(g, 0) == 0
 
 
 class TestFourCycle:
+    """Cases of the retired DEG_TWO_FOUR_CYCLE rule: CLIQUE includes the vertex,
+    also where the rule was blocked."""
+
     def test_c4(self):
         g = TwoLevelGraph(cycle_graph(4))
-        assert try_four_cycle(g, 1) == 1
+        assert try_clique(g, 1) == 1
         assert g.active_count == 0
 
     def test_c5_blocked(self):
         g = TwoLevelGraph(cycle_graph(5))
-        assert all(try_four_cycle(g, v) is None for v in range(5))
+        assert try_clique(g, 0) == 0
+        assert g.active_count == 0
 
     def test_chord_blocks(self):
         g = StaticGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
         tlg = TwoLevelGraph(g)
-        assert try_four_cycle(tlg, 1) is None
+        assert try_clique(tlg, 1) == 1
 
 
 class TestFastDomination:
+    """Cases of the retired FAST_DOMINATION rule: the vertex it excluded still
+    goes, and DOMINATION fires where the rule did not."""
+
     def test_p3(self):
         g = TwoLevelGraph(path_graph(3))
-        assert try_fast_domination(g, 0) == 1
+        assert try_domination(g, 0) == 1
         assert g.status(1) is VertexStatus.EXCLUDED
 
     def test_star_leaf_excludes_hub(self):
-        g = TwoLevelGraph(centered_star())
-        assert try_fast_domination(g, 0) == 1
+        kernel = reduce(centered_star(), ReductionVariant.ELABORATED)
+        assert kernel.graph.status(1) is VertexStatus.EXCLUDED
+        assert kernel.log.offset == 1
 
     def test_c4_inapplicable(self):
         g = TwoLevelGraph(cycle_graph(4))
-        assert all(try_fast_domination(g, v) is None for v in range(4))
+        assert try_domination(g, 0) == 1
 
-    def test_never_materializes_excluded_vertex(self):
+    def test_never_materializes_excluded_vertex(self, monkeypatch):
+        """FAST_DOMINATION excluded the hub unmaterialized; DOMINATION
+        materializes it first.  So a kernel's split between m and m2 may
+        differ from the ten-rule portfolio's while m + m2 stays."""
+        seen: list[int] = []
+        original = TwoLevelGraph.materialize_two_neighborhood
+
+        def recording(self, v):
+            seen.append(v)
+            return original(self, v)
+
+        monkeypatch.setattr(TwoLevelGraph, "materialize_two_neighborhood", recording)
         g = TwoLevelGraph(centered_star())
-        assert try_fast_domination(g, 0) == 1
-        assert not g.is_materialized(1)
+        assert try_domination(g, 0) == 1
+        assert seen == [0, 1]
 
 
 class TestTwin:
+    """Cases of the retired TWIN rule: ``elaborated`` empties them and reaches
+    the optimum, and where the rule was blocked it does not take the vertex."""
+
     def test_c4(self):
-        g = TwoLevelGraph(cycle_graph(4))
-        assert try_twin(g, 0) == 0
-        assert g.active_count == 0
+        kernel = reduce(cycle_graph(4), ReductionVariant.ELABORATED)
+        assert kernel.graph.active_count == 0
+        assert kernel.log.offset == 1
 
     def test_k23(self):
-        g = TwoLevelGraph(complete_bipartite(2, 3))
-        assert try_twin(g, 2) == 2
-        assert g.active_count == 0
+        g = complete_bipartite(2, 3)
+        assert try_clique(TwoLevelGraph(g), 2) == 2
+        kernel = reduce(g, ReductionVariant.ELABORATED)
+        assert kernel.graph.active_count == 0
+        assert kernel.log.offset == 1
 
     def test_unequal_neighborhoods_blocked(self):
-        g = TwoLevelGraph(path_graph(4))
-        assert try_twin(g, 1) is None
+        kernel = reduce(path_graph(4), ReductionVariant.ELABORATED)
+        assert kernel.graph.active_count == 0
+        assert 1 not in kernel.log.included()
 
 
 class TestReduce:
@@ -487,19 +525,6 @@ def reference_domination(g, v, log=None):
     return None
 
 
-def reference_fast_domination(g, v, log=None):
-    """Reference try_fast_domination, built on the checked, copying accessors."""
-    for u in sorted(g.neighbors(v)):
-        nv = g.neighbors(v)
-        nv.discard(u)
-        if nv <= g.neighbors(u) and two_neighborhood_confined(g, v, u):
-            g.remove_vertex(u, VertexStatus.EXCLUDED)
-            if log is not None:
-                log.record(u, VertexStatus.EXCLUDED, ReductionKind.FAST_DOMINATION)
-            return u
-    return None
-
-
 def graph_state(g: TwoLevelGraph):
     """Everything a rule may change: statuses, both set families, lazy state, m2."""
     return (
@@ -533,18 +558,14 @@ def test_rules_match_reference(n, p, seed, removals, materialize):
     for pick in materialize:
         if active:
             base.materialize_two_neighborhood(active[pick % len(active)])
-    for fast, reference in (
-        (try_domination, reference_domination),
-        (try_fast_domination, reference_fast_domination),
-    ):
-        for v in active:
-            got, want = base.clone(), base.clone()
-            got_log, want_log = ReductionLog(), ReductionLog()
-            assert fast(got, v, got_log) == reference(want, v, want_log), (fast.__name__, v)
-            assert graph_state(got) == graph_state(want), (fast.__name__, v)
-            assert [(e.vertex, e.decision, e.rule) for e in got_log.entries] == [
-                (e.vertex, e.decision, e.rule) for e in want_log.entries
-            ]
+    for v in active:
+        got, want = base.clone(), base.clone()
+        got_log, want_log = ReductionLog(), ReductionLog()
+        assert try_domination(got, v, got_log) == reference_domination(want, v, want_log), v
+        assert graph_state(got) == graph_state(want), v
+        assert [(e.vertex, e.decision, e.rule) for e in got_log.entries] == [
+            (e.vertex, e.decision, e.rule) for e in want_log.entries
+        ]
 
 
 @settings(max_examples=80, deadline=None)
@@ -589,7 +610,8 @@ def test_filtered_domination_matches_full_probe(n, p, seed, before, after):
 # SHA-1 of the (vertex, decision, rule) log and the kernel's (n, m, m2) under
 # ELABORATED, recorded with rules built on the checked accessors (as in the
 # reference functions above).  m2 counts recorded conflict edges, so it also
-# pins which 2-neighborhoods the rules materialize.
+# pins which 2-neighborhoods the rules materialize.  The geometric digest is
+# that of the four-rule ELABORATED.
 GOLDEN_TRACES = {
     "hub": (
         lambda: preferential_attachment(300, 3, seed=7),
@@ -598,7 +620,7 @@ GOLDEN_TRACES = {
     ),
     "geometric": (
         lambda: random_geometric(600, 0.065, seed=11),
-        "e75252515c52e43e9841e1d5766820e5a4aa77ea",
+        "df4164b6b620265a9202e7a1d83f54282bf2da3e",
         (81, 63, 123),
     ),
 }
@@ -611,6 +633,26 @@ def test_reduction_trace_is_pinned(name):
     entries = [(e.vertex, e.decision.value, e.rule.value) for e in kernel.log.entries]
     assert hashlib.sha1(repr(entries).encode()).hexdigest() == digest
     assert (kernel.stats.n, kernel.stats.m, kernel.stats.m2) == sizes
+
+
+# Kernel (n, offset, m + m2) under ELABORATED, recorded with the ten-rule
+# portfolio that the four rules replaced.  The rules may exclude a different
+# dominated vertex, which moves edges between m and m2 (as on the last two
+# graphs), so only the sum is pinned.  A portfolio that reduces less fails.
+KERNEL_POWER = {
+    "hub": (GOLDEN_TRACES["hub"][0], (283, 0, 6321)),
+    "geometric": (GOLDEN_TRACES["geometric"][0], (81, 52, 186)),
+    "geometric-split-11": (lambda: random_geometric(300, 0.09, seed=11), (13, 39, 17)),
+    "geometric-split-24": (lambda: random_geometric(300, 0.09, seed=24), (4, 43, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_POWER))
+def test_kernel_power_is_pinned(name):
+    make, pinned = KERNEL_POWER[name]
+    kernel = reduce(make(), ReductionVariant.ELABORATED)
+    stats = kernel.stats
+    assert (stats.n, kernel.log.offset, stats.m + stats.m2) == pinned
 
 
 def test_domination_materializes_only_fresh_vertices(monkeypatch):
@@ -680,7 +722,7 @@ PROBES_WITHOUT_WINDOWS = {"hub": 24229, "geometric": 45377}
 # Probes of the two rules whose window admits every degree; windows leave them as they were.
 EVERY_DEGREE_PROBES = {
     "hub": {ReductionKind.DOMINATION: 1618, ReductionKind.CLIQUE: 283},
-    "geometric": {ReductionKind.DOMINATION: 1464, ReductionKind.CLIQUE: 81},
+    "geometric": {ReductionKind.DOMINATION: 1556, ReductionKind.CLIQUE: 81},
 }
 
 
