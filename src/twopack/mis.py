@@ -1,7 +1,8 @@
 """Maximum independent set back ends for square graphs.
 
 Two solvers over a shared bitmask representation: an exact branch-and-bound
-with interleaved cheap reductions and a greedy clique-cover bound, and an
+with interleaved cheap reductions and a greedy clique-cover bound, which
+branches only on vertices the bound could not charge to the incumbent, and an
 iterated (1,2)-swap local search.  The local search works on whole masks: one
 pass over the solution builds the cover masks (vertices with at least one and
 at least two solution neighbours), the 1-tight vertices are those covered
@@ -244,10 +245,11 @@ def heuristic_mis(
 # -- exact branch and bound ----------------------------------------------------
 
 
-def _clique_cover_bound(alive: int, nb: list[int], order: list[int]) -> int:
-    """Greedy clique cover of the residual graph; its size bounds the MIS."""
+def _clique_cover(alive: int, nb: list[int], order: list[int]) -> list[int]:
+    """Greedy clique cover of the residual graph, as one member mask per
+    clique; its length bounds the MIS."""
     commons: list[int] = []
-    bound = 0
+    cliques: list[int] = []
     for v in order:
         bit = 1 << v
         if not alive & bit:
@@ -256,23 +258,31 @@ def _clique_cover_bound(alive: int, nb: list[int], order: list[int]) -> int:
         for i, common in enumerate(commons):
             if common & bit:
                 commons[i] = common & nv
+                cliques[i] |= bit
                 break
         else:
             commons.append(nv)
-            bound += 1
-    return bound
+            cliques.append(bit)
+    return cliques
 
 
 def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
-    """Branch and bound on the maximum-degree vertex with include/exclude branches.
+    """Branch and bound with include/exclude branches.
 
     Each node first applies cheap reductions to a fixed point (isolated and
     pendant vertices are included, vertices with a dominated closed
-    neighborhood excluded), then prunes with a greedy clique-cover bound.
-    The initial incumbent comes from the local-search heuristic.  When the
-    deadline expires the best solution found so far is returned unproven; with
-    no budget left at the call (``deadline.seconds <= 0``) that is a first-fit
-    maximal independent set.
+    neighborhood excluded), then covers the residual graph with greedy
+    cliques and prunes when the chosen vertices plus the clique count cannot
+    beat the incumbent.  Otherwise it branches on a vertex outside the first
+    ``best - size`` cliques, the one with the most alive neighbours (lowest
+    index on ties), as MCS does (Tomita et al., WALCOM 2010).  The initial
+    incumbent is one greedy maximal set taken to a (1,2)-swap local optimum,
+    without the iterated search.  ``nodes_explored`` counts the nodes that
+    passed the clock and node-budget checks, so a node-budget abort reports
+    exactly ``deadline.max_nodes``.  When the deadline expires the best
+    solution found so far is returned unproven; with no budget left at the
+    call (``deadline.seconds <= 0``) that is a first-fit maximal independent
+    set.
     """
     start = time.perf_counter()
     if deadline.seconds <= 0:
@@ -294,13 +304,13 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
     nodes = 0
     aborted = False
     while stack:
-        nodes += 1
         if time.perf_counter() >= t_end:
             aborted = True
             break
-        if deadline.max_nodes is not None and nodes > deadline.max_nodes:
+        if deadline.max_nodes is not None and nodes >= deadline.max_nodes:
             aborted = True
             break
+        nodes += 1
         alive, chosen = stack.pop()
 
         while True:
@@ -349,10 +359,15 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
                 time_to_best = time.perf_counter() - start
             continue
         size = chosen.bit_count()
-        if size + _clique_cover_bound(alive, nb, cover_order) <= best:
+        cliques = _clique_cover(alive, nb, cover_order)
+        if size + len(cliques) <= best:
             continue
+        # A clique holds at most one vertex of an independent set, so one
+        # larger than best uses a vertex outside the first best - size cliques.
+        a = 0
+        for clique in cliques[max(best - size, 0):]:
+            a |= clique
         branch_v, branch_d = -1, -1
-        a = alive
         while a:
             low = a & -a
             a ^= low

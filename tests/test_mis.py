@@ -59,42 +59,43 @@ def kernel_square(g: StaticGraph) -> SquareGraph:
 
 
 # name -> (square, max_nodes, (size, nodes_explored, sorted vertices)) of
-# exact_mis with seed 1, recorded with the full-mask dominance test
-# ``((N(v) & alive) | v) & ~N[u] == 0``.  The two "abort" searches stop at
-# the node budget; the others finish with a proof.
+# exact_mis with seed 1, recorded with branching restricted to the cliques past
+# the first best - size of the cover, and with a node counted only once it
+# passes the clock and budget checks.  The two "abort" searches stop at the
+# node budget; the others finish with a proof.
 PINNED_SEARCHES = {
     "gnp-square": (
         lambda: square(TwoLevelGraph(gnp_graph(150, 0.025, 17))),
         2000,
-        (39, 57, [10, 18, 20, 21, 23, 26, 27, 28, 30, 35, 38, 44, 46, 53, 63, 64, 67, 69,
-                  75, 83, 87, 89, 91, 92, 102, 104, 107, 108, 111, 112, 115, 116, 123, 125,
-                  128, 132, 135, 141, 143]),
+        (39, 37, [10, 14, 15, 18, 20, 21, 23, 26, 27, 28, 30, 35, 44, 53, 63, 64, 65, 67,
+                  69, 75, 83, 87, 89, 91, 102, 107, 108, 111, 112, 115, 116, 122, 123, 125,
+                  128, 135, 141, 143, 147]),
     ),
     "gnp-square-abort": (
         lambda: square(TwoLevelGraph(gnp_graph(120, 0.035, 3))),
-        300,
-        (26, 301, [4, 6, 8, 10, 16, 27, 43, 49, 54, 57, 60, 67, 68, 69, 70, 81, 82, 84,
-                   87, 92, 95, 103, 110, 117, 118, 119]),
+        150,
+        (26, 150, [2, 4, 8, 10, 16, 27, 31, 40, 43, 49, 57, 58, 60, 67, 69, 70, 82, 87,
+                   90, 95, 103, 110, 115, 117, 118, 119]),
     ),
     "gnp-kernel": (
         lambda: kernel_square(gnp_graph(100, 0.04, 9)),
         2000,
-        (15, 33, [2, 3, 5, 6, 10, 11, 15, 17, 21, 26, 33, 36, 37, 48, 52]),
+        (15, 5, [2, 3, 5, 6, 10, 11, 15, 17, 21, 26, 33, 36, 37, 48, 52]),
     ),
     "pa-kernel-60": (
         lambda: kernel_square(preferential_attachment(60, 3, 5)),
         2000,
-        (8, 33, [12, 22, 25, 29, 32, 33, 34, 42]),
+        (8, 17, [12, 22, 25, 29, 32, 33, 34, 42]),
     ),
     "pa-kernel-90": (
         lambda: kernel_square(preferential_attachment(90, 3, 1)),
         2000,
-        (11, 135, [1, 11, 13, 23, 38, 45, 50, 55, 63, 64, 66]),
+        (11, 65, [1, 11, 13, 23, 38, 45, 50, 55, 63, 64, 66]),
     ),
     "pa-kernel-150-abort": (
         lambda: kernel_square(preferential_attachment(150, 3, 2)),
         20,
-        (20, 21, [20, 32, 49, 76, 96, 98, 99, 100, 102, 103, 109, 110, 111, 117, 119, 120,
+        (20, 20, [20, 32, 49, 76, 96, 98, 99, 100, 102, 103, 109, 110, 111, 117, 119, 120,
                   125, 136, 137, 138]),
     ),
 }
@@ -264,6 +265,15 @@ class TestExact:
         assert full.proven_optimal
         assert res.size <= full.size == 16
 
+    @pytest.mark.parametrize("max_nodes", [0, 5, 20])
+    def test_node_budget_abort_counts_budget(self, max_nodes):
+        """An abort reports exactly the nodes the budget allowed, as
+        heuristic_mis reports its iterations: the stopping node is not one."""
+        sq = as_square(gnp_graph(60, 0.2, 0))
+        res = exact_mis(sq, Deadline(seconds=30.0, max_nodes=max_nodes))
+        assert not res.proven_optimal
+        assert res.nodes_explored == max_nodes
+
     def test_deadline_checked_at_every_node(self, monkeypatch):
         """Under a clock that advances one second per reading, the search
         stops at the first node whose clock reading reaches the deadline."""
@@ -306,6 +316,15 @@ class TestExact:
         b = exact_mis(sq, Deadline(seconds=60.0, max_nodes=50), seed=4)
         assert a.vertices == b.vertices and a.size == b.size
         assert a.nodes_explored == b.nodes_explored
+
+    def test_nodes_to_proof_are_pinned(self):
+        """Kernel sizes and total nodes to proof over ten sparse kernels."""
+        results = [
+            exact_mis(kernel_square(gnp_graph(80, 0.076, s)), LONG, seed=1) for s in range(10)
+        ]
+        assert all(res.proven_optimal for res in results)
+        assert [res.size for res in results] == [11, 9, 13, 11, 10, 11, 11, 10, 12, 10]
+        assert sum(res.nodes_explored for res in results) == 436
 
     @pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
     def test_search_is_pinned(self, name):
