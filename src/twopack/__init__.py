@@ -7,8 +7,6 @@ verification layer and a brute-force oracle for small instances.
 
 from .graph import GraphError, StaticGraph, TwoLevelGraph, VertexStatus
 from .graphio import (
-    GraphFormat,
-    InstanceFile,
     ParseError,
     parse_edgelist,
     parse_metis,
@@ -19,7 +17,6 @@ from .graphio import (
 from .mis import Deadline, MisResult, exact_mis, heuristic_mis
 from .oracle import OracleLimitError, brute_alpha, brute_beta, brute_square
 from .pipeline import (
-    KernelReport,
     MemoryCapError,
     PhaseTimings,
     Solution,
@@ -32,7 +29,7 @@ from .pipeline import (
 )
 from .reductions import (
     Kernel,
-    KernelStats,
+    KernelReport,
     LogEntry,
     ReductionKind,
     ReductionLog,
@@ -55,11 +52,8 @@ __all__ = [
     "DEFAULT_EDGE_CAP",
     "EdgeCapExceeded",
     "GraphError",
-    "GraphFormat",
-    "InstanceFile",
     "Kernel",
     "KernelReport",
-    "KernelStats",
     "LogEntry",
     "MemoryCapError",
     "MisResult",

@@ -9,67 +9,25 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .graphio import GraphFormat, InstanceFile, ParseError, write_solution
+from .graphio import ParseError, parse_edgelist, parse_metis, write_solution
 from .pipeline import (
     MemoryCapError,
     SolverConfig,
     SolverMode,
-    Solution,
+    kernel_ratios,
     solve_m2s,
+    square_kernel,
 )
-from .reductions import ReductionVariant, reduce
-from .transform import DEFAULT_EDGE_CAP, EdgeCapExceeded, square
+from .reductions import KernelReport, ReductionVariant, reduce
+from .transform import DEFAULT_EDGE_CAP
 
 CSV_HEADER = (
     "instance,variant,mode,seed,size,t_find_ms,t_prove_ms,"
     "n_kernel,m_kernel,n_sq,m_sq,offset,status"
 )
 KERNEL_CSV_HEADER = "instance,variant,n,m,n_kernel,m_kernel,m2_kernel,n_sq,m_sq,offset,n_ratio,m_ratio"
-
-
-@dataclass
-class RunRecord:
-    instance: str
-    variant: str
-    mode: str
-    seed: int
-    size: int
-    t_find_ms: float | None
-    t_prove_ms: float | None
-    n_kernel: int | None
-    m_kernel: int | None
-    n_sq: int | None
-    m_sq: int | None
-    offset: int
-    status: str
-
-    def csv_row(self) -> str:
-        return ",".join(_cell(x) for x in (
-            self.instance, self.variant, self.mode, self.seed, self.size,
-            self.t_find_ms, self.t_prove_ms, self.n_kernel, self.m_kernel,
-            self.n_sq, self.m_sq, self.offset, self.status,
-        ))
-
-    def table(self) -> str:
-        rows = [
-            ("instance", self.instance),
-            ("variant", self.variant),
-            ("mode", self.mode),
-            ("seed", self.seed),
-            ("size", self.size),
-            ("t_find_ms", _cell(self.t_find_ms)),
-            ("t_prove_ms", _cell(self.t_prove_ms)),
-            ("n_kernel", _cell(self.n_kernel)),
-            ("m_kernel", _cell(self.m_kernel)),
-            ("n_sq", _cell(self.n_sq)),
-            ("m_sq", _cell(self.m_sq)),
-            ("offset", self.offset),
-            ("status", self.status),
-        ]
-        return "\n".join(f"{k:<11} {v}" for k, v in rows)
 
 
 def _cell(value) -> str:
@@ -113,67 +71,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, header: str, csv_row: str, table: str) -> None:
+def _emit(args, header: str, values: list) -> None:
+    cells = [_cell(v) for v in values]
     if args.stats == "csv":
         print(header)
-        print(csv_row)
+        print(",".join(cells))
     else:
-        print(table)
+        for key, cell in zip(header.split(","), cells):
+            print(f"{key:<11} {cell}")
 
 
-def _solution_base(args) -> bool:
-    return args.format == "metis" or args.edgelist_base == 1
+def _emit_run(
+    args, name: str, size: int, report: KernelReport, status: str,
+    t_find: float | None = None, t_prove: float | None = None,
+) -> None:
+    _emit(args, CSV_HEADER, [
+        name, args.reductions, args.solver, args.seed, size,
+        None if t_find is None else t_find * 1000.0,
+        None if t_prove is None else t_prove * 1000.0,
+        report.n_kernel, report.m_kernel, report.n_square, report.m_square,
+        report.offset, status,
+    ])
 
 
 def _write_output(args, vertices) -> None:
     if args.output:
-        Path(args.output).write_text(
-            write_solution(vertices, one_based=_solution_base(args))
-        )
-
-
-def _emit_solution(args, name: str, sol: Solution, status: str) -> None:
-    record = RunRecord(
-        instance=name,
-        variant=args.reductions,
-        mode=args.solver,
-        seed=args.seed,
-        size=sol.size,
-        t_find_ms=sol.time_to_best * 1000.0,
-        t_prove_ms=None if sol.time_to_proof is None else sol.time_to_proof * 1000.0,
-        n_kernel=sol.kernel.n_kernel,
-        m_kernel=sol.kernel.m_kernel,
-        n_sq=sol.kernel.n_square,
-        m_sq=sol.kernel.m_square,
-        offset=sol.kernel.offset,
-        status=status,
-    )
-    _emit(args, CSV_HEADER, record.csv_row(), record.table())
+        one_based = args.format == "metis" or args.edgelist_base == 1
+        Path(args.output).write_text(write_solution(vertices, one_based=one_based))
 
 
 def _run_kernel_only(args, cfg: SolverConfig, name: str, graph) -> int:
     kernel = reduce(graph, cfg.variant)
     try:
-        if kernel.graph.active_count == 0:
-            n_sq = m_sq = 0
-        else:
-            sq = square(kernel.graph, edge_cap=cfg.edge_cap)
-            n_sq, m_sq = sq.n, sq.m
-    except EdgeCapExceeded:
+        square_kernel(kernel, cfg.edge_cap)
+    except MemoryCapError:
         print("error: square graph exceeds the edge cap", file=sys.stderr)
         return 3
-    n_ratio = round(100.0 * n_sq / graph.n, 2) if graph.n else 0.0
-    m_ratio = round(100.0 * m_sq / graph.m, 2) if graph.m else 0.0
-    values = [
-        name, args.reductions, graph.n, graph.m, kernel.stats.n, kernel.stats.m,
-        kernel.stats.m2, n_sq, m_sq, kernel.log.offset, n_ratio, m_ratio,
-    ]
-    if args.stats == "csv":
-        print(KERNEL_CSV_HEADER)
-        print(",".join(str(v) for v in values))
-    else:
-        for key, value in zip(KERNEL_CSV_HEADER.split(","), values):
-            print(f"{key:<11} {value}")
+    r = kernel.report
+    # Ratios print as rounded Python floats (``100.0``, ``491.73``).
+    ratios = [str(round(x, 2)) for x in kernel_ratios(graph, r)]
+    _emit(args, KERNEL_CSV_HEADER, [
+        name, args.reductions, graph.n, graph.m, r.n_kernel, r.m_kernel,
+        r.m2_kernel, r.n_square, r.m_square, r.offset, *ratios,
+    ])
     return 0
 
 
@@ -199,14 +139,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 
-    instance = InstanceFile(
-        path=Path(args.input),
-        format=GraphFormat(args.format),
-        one_based=args.edgelist_base == 1,
-    )
     name = Path(args.input).stem
     try:
-        graph = instance.load()
+        text = Path(args.input).read_text()
+        if args.format == "metis":
+            graph = parse_metis(text)
+        else:
+            graph = parse_edgelist(text, one_based=args.edgelist_base == 1)
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
@@ -220,28 +159,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sol = solve_m2s(graph, cfg)
     except MemoryCapError as exc:
-        record = RunRecord(
-            instance=name,
-            variant=args.reductions,
-            mode=args.solver,
-            seed=args.seed,
-            size=len(exc.partial),
-            t_find_ms=None,
-            t_prove_ms=None,
-            n_kernel=exc.kernel.n_kernel,
-            m_kernel=exc.kernel.m_kernel,
-            n_sq=None,
-            m_sq=None,
-            offset=exc.kernel.offset,
-            status="memcap",
-        )
-        _emit(args, CSV_HEADER, record.csv_row(), record.table())
+        _emit_run(args, name, len(exc.partial), exc.kernel, "memcap")
         _write_output(args, exc.partial)
         return 3
 
     timed_out = cfg.mode is SolverMode.EXACT and not sol.proven_optimal
     status = "timeout" if timed_out else "ok"
-    _emit_solution(args, name, sol, status)
+    _emit_run(args, name, sol.size, sol.kernel, status, sol.time_to_best, sol.time_to_proof)
     _write_output(args, sol.vertices)
     return 2 if timed_out else 0
 

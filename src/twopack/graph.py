@@ -108,11 +108,10 @@ class TwoLevelGraph:
     ``materialize_two_neighborhood`` and kept up to date afterwards.
 
     ``neighbors``, ``degree``, ``has_edge``, ``has_two_edge``,
-    ``two_neighbors``, ``degree2``, ``in_conflict``,
-    ``materialize_two_neighborhood`` and ``remove_vertex`` reject an
-    out-of-range or inactive vertex with ``GraphError`` (``has_edge`` and
-    ``has_two_edge`` check their first vertex), and the set-valued ones
-    return copies.  ``status``, ``is_active`` and ``is_materialized`` do no
+    ``two_neighbors``, ``degree2``, ``materialize_two_neighborhood`` and
+    ``remove_vertex`` reject an out-of-range or inactive vertex with
+    ``GraphError`` (``has_edge`` and ``has_two_edge`` check their first
+    vertex), and the set-valued ones return copies.  ``status``, ``is_active`` and ``is_materialized`` do no
     activity check.
 
     The reduction rules in ``reductions`` run millions of probes, so they
@@ -218,22 +217,6 @@ class TwoLevelGraph:
         self.materialize_two_neighborhood(v)
         return len(self._two[v])
 
-    def in_conflict(self, u: int, v: int) -> bool:
-        """Whether active vertices u, v are at conflict distance <= 2.
-
-        Uses recorded conflict edges plus a shared-neighbor test, so it never
-        mutates the lazy materialization state.
-        """
-        self._require_active(u)
-        self._require_active(v)
-        if u == v:
-            raise GraphError("conflict test requires two distinct vertices")
-        return (
-            v in self._one[u]
-            or v in self._two[u]
-            or not self._one[u].isdisjoint(self._one[v])
-        )
-
     # -- mutation ------------------------------------------------------------
 
     def remove_vertex(self, w: int, mark: VertexStatus) -> None:
@@ -274,19 +257,6 @@ class TwoLevelGraph:
         self._active -= 1
         if ball is not None:
             self.removal_listener(w, ball)
-
-    def clone(self) -> TwoLevelGraph:
-        dup = object.__new__(TwoLevelGraph)
-        dup.n = self.n
-        dup._one = [set(s) for s in self._one]
-        dup._two = [set(s) for s in self._two]
-        dup._status = list(self._status)
-        dup._materialized = list(self._materialized)
-        dup._active = self._active
-        dup._m = self._m
-        dup._m2 = self._m2
-        dup.removal_listener = None
-        return dup
 
     def __repr__(self) -> str:
         return (

@@ -7,17 +7,9 @@ errors carry the offending line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from pathlib import Path
 from typing import Iterable
 
 from .graph import StaticGraph
-
-
-class GraphFormat(Enum):
-    METIS = "metis"
-    EDGELIST = "edgelist"
 
 
 class ParseError(ValueError):
@@ -25,21 +17,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.reason = message
-
-
-@dataclass(frozen=True)
-class InstanceFile:
-    """A graph file on disk together with its format and ID base."""
-
-    path: Path
-    format: GraphFormat = GraphFormat.METIS
-    one_based: bool = True
-
-    def load(self) -> StaticGraph:
-        text = Path(self.path).read_text()
-        if self.format is GraphFormat.METIS:
-            return parse_metis(text)
-        return parse_edgelist(text, one_based=self.one_based)
 
 
 def _is_comment(line: str) -> bool:

@@ -31,7 +31,8 @@ class Deadline:
     one node or iteration.  The warm start (a greedy maximal set taken to a
     local optimum) never reads the clock and runs to completion however
     little budget is left; with none left at the call (``seconds <= 0``)
-    both solvers skip it and return a first-fit maximal set, unproven.
+    both solvers skip it and return a first-fit maximal set, unproven,
+    unless the square is empty: its empty answer is proven whatever the budget.
     ``max_nodes`` bounds the search in nodes for reproducible runs.
     """
 
@@ -197,14 +198,14 @@ def heuristic_mis(
     Always returns a maximal independent set; optimality is only claimed in
     the trivial edgeless case.  With no budget left at the call
     (``deadline.seconds <= 0``) that set is a first-fit one, unproven, as in
-    ``exact_mis``.
+    ``exact_mis``; an empty square is proven first, whatever the budget.
     """
     start = time.perf_counter()
-    if deadline.seconds <= 0:
-        return _first_fit(sq, start)
     n = sq.n
     if n == 0:
         return MisResult(frozenset(), 0, True, 0, time.perf_counter() - start, 0.0)
+    if deadline.seconds <= 0:
+        return _first_fit(sq, start)
     rng = Random(seed)
     nb = _adjacency_masks(sq)
     sol = _greedy_maximal(n, nb, rng)
@@ -282,14 +283,14 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
     exactly ``deadline.max_nodes``.  When the deadline expires the best
     solution found so far is returned unproven; with no budget left at the
     call (``deadline.seconds <= 0``) that is a first-fit maximal independent
-    set.
+    set, except on an empty square, which is proven whatever the budget.
     """
     start = time.perf_counter()
-    if deadline.seconds <= 0:
-        return _first_fit(sq, start)
     n = sq.n
     if n == 0:
         return MisResult(frozenset(), 0, True, 0, time.perf_counter() - start, 0.0)
+    if deadline.seconds <= 0:
+        return _first_fit(sq, start)
     nb = _adjacency_masks(sq)
     rng = Random(seed)
     warm = _local_optimum(n, nb, _greedy_maximal(n, nb, rng), rng)

@@ -2,8 +2,8 @@
 
 The reduction and transformation phases are polynomial and run without a
 deadline; whatever remains of the time budget goes to the MIS phase.  An
-empty kernel short-circuits the MIS phase and is proven optimal by the
-reductions alone.
+empty kernel takes the same path: its square is empty, which both MIS back
+ends prove at once whatever the budget, so the reductions alone prove it.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Iterable
 
 from .graph import GraphError, StaticGraph
 from .mis import Deadline, exact_mis, heuristic_mis
-from .reductions import ReductionKind, ReductionVariant, reconstruct, reduce
-from .transform import DEFAULT_EDGE_CAP, EdgeCapExceeded, square
+from .reductions import Kernel, KernelReport, ReductionVariant, reconstruct, reduce
+from .transform import DEFAULT_EDGE_CAP, EdgeCapExceeded, SquareGraph, square
 
 
 class SolverMode(Enum):
@@ -42,19 +42,6 @@ class SolverConfig:
             raise ValueError("max_nodes must be non-negative")
         if self.edge_cap <= 0:
             raise ValueError("edge_cap must be positive")
-
-
-@dataclass
-class KernelReport:
-    """Kernel and square-graph sizes plus per-rule application counts."""
-
-    n_kernel: int
-    m_kernel: int
-    m2_kernel: int
-    n_square: int | None
-    m_square: int | None
-    rule_counts: dict[ReductionKind, int]
-    offset: int
 
 
 @dataclass
@@ -114,47 +101,30 @@ def verify_2ps(g: StaticGraph, s: Iterable[int]) -> bool:
     return True
 
 
+def square_kernel(kernel: Kernel, edge_cap: int) -> SquareGraph:
+    """Square ``kernel`` and record the square's size in its report.
+
+    Raises MemoryCapError, carrying the report and the reductions' partial
+    solution, when the square passes ``edge_cap`` edges.
+    """
+    try:
+        sq = square(kernel.graph, edge_cap=edge_cap)
+    except EdgeCapExceeded as exc:
+        raise MemoryCapError(kernel.report, frozenset(kernel.log.included())) from exc
+    kernel.report.n_square = sq.n
+    kernel.report.m_square = sq.m
+    return sq
+
+
 def solve_m2s(g: StaticGraph, cfg: SolverConfig) -> Solution:
     """Run the full pipeline on ``g`` under ``cfg`` and return the solution."""
     t0 = time.perf_counter()
     kernel = reduce(g, cfg.variant)
     t_reduce = time.perf_counter() - t0
-    report = KernelReport(
-        n_kernel=kernel.stats.n,
-        m_kernel=kernel.stats.m,
-        m2_kernel=kernel.stats.m2,
-        n_square=None,
-        m_square=None,
-        rule_counts=kernel.stats.rule_counts,
-        offset=kernel.log.offset,
-    )
-
-    if kernel.graph.active_count == 0:
-        vertices = frozenset(kernel.log.included())
-        report.n_square = 0
-        report.m_square = 0
-        total = time.perf_counter() - t0
-        timings = PhaseTimings(reduce=t_reduce, transform=0.0, solve=0.0, total=total)
-        solution = Solution(
-            vertices=vertices,
-            size=len(vertices),
-            proven_optimal=True,
-            kernel=report,
-            timings=timings,
-            time_to_best=t_reduce,
-            time_to_proof=total,
-        )
-        _maybe_verify(g, cfg, solution)
-        return solution
 
     t1 = time.perf_counter()
-    try:
-        sq = square(kernel.graph, edge_cap=cfg.edge_cap)
-    except EdgeCapExceeded as exc:
-        raise MemoryCapError(report, frozenset(kernel.log.included())) from exc
+    sq = square_kernel(kernel, cfg.edge_cap)
     t_transform = time.perf_counter() - t1
-    report.n_square = sq.n
-    report.m_square = sq.m
 
     remaining = cfg.time_limit - (time.perf_counter() - t0)
     deadline = Deadline(seconds=remaining, max_nodes=cfg.max_nodes)
@@ -166,32 +136,29 @@ def solve_m2s(g: StaticGraph, cfg: SolverConfig) -> Solution:
     t_solve = time.perf_counter() - t2
 
     vertices = frozenset(reconstruct(kernel.log, sq.original_ids(result.vertices)))
-    proven = cfg.mode is SolverMode.EXACT and result.proven_optimal
+    # A heuristic-mode proof counts only for an empty kernel: the reductions proved it.
+    proven = result.proven_optimal and (cfg.mode is SolverMode.EXACT or sq.n == 0)
     total = time.perf_counter() - t0
     timings = PhaseTimings(reduce=t_reduce, transform=t_transform, solve=t_solve, total=total)
     solution = Solution(
         vertices=vertices,
         size=len(vertices),
         proven_optimal=proven,
-        kernel=report,
+        kernel=kernel.report,
         timings=timings,
         time_to_best=t_reduce + t_transform + result.time_to_best,
         time_to_proof=total if proven else None,
         mis_nodes=result.nodes_explored,
     )
-    _maybe_verify(g, cfg, solution)
+    if cfg.verify and not verify_2ps(g, solution.vertices):
+        raise VerificationError("solver produced a set violating the distance-three rule")
     return solution
 
 
-def _maybe_verify(g: StaticGraph, cfg: SolverConfig, solution: Solution) -> None:
-    if cfg.verify and not verify_2ps(g, solution.vertices):
-        raise VerificationError("solver produced a set violating the distance-three rule")
-
-
-def kernel_ratios(g: StaticGraph, sol: Solution) -> tuple[float, float]:
+def kernel_ratios(g: StaticGraph, report: KernelReport) -> tuple[float, float]:
     """Square-kernel size relative to the input, as percentages (n and m)."""
-    n_sq = sol.kernel.n_square or 0
-    m_sq = sol.kernel.m_square or 0
+    n_sq = report.n_square or 0
+    m_sq = report.m_square or 0
     n_ratio = 100.0 * n_sq / g.n if g.n else 0.0
     m_ratio = 100.0 * m_sq / g.m if g.m else 0.0
     return (n_ratio, m_ratio)

@@ -11,7 +11,7 @@ to solutions of the input graph.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional
@@ -105,11 +105,17 @@ class ReductionLog:
 
 
 @dataclass
-class KernelStats:
-    n: int
-    m: int
-    m2: int
-    rule_counts: dict[ReductionKind, int] = field(default_factory=dict)
+class KernelReport:
+    """Kernel sizes and per-rule application counts, taken when reduction
+    ends; the square-graph sizes stay ``None`` until the square is built."""
+
+    n_kernel: int
+    m_kernel: int
+    m2_kernel: int
+    offset: int
+    rule_counts: dict[ReductionKind, int]
+    n_square: int | None = None
+    m_square: int | None = None
 
 
 @dataclass
@@ -118,7 +124,7 @@ class Kernel:
 
     graph: TwoLevelGraph
     log: ReductionLog
-    stats: KernelStats
+    report: KernelReport
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -154,7 +160,8 @@ def _two_set(g: TwoLevelGraph, v: int) -> set[int]:
 
 
 def _conflicts(g: TwoLevelGraph, x: int, y: int) -> bool:
-    """``TwoLevelGraph.in_conflict`` without its activity checks."""
+    """Whether active x and y are at conflict distance <= 2: adjacent, joined
+    by a recorded conflict edge, or sharing a neighbor.  Materializes nothing."""
     one_x = g._one[x]
     return y in one_x or y in g._two[x] or not one_x.isdisjoint(g._one[y])
 
@@ -385,19 +392,22 @@ def reduce(static: StaticGraph, variant: ReductionVariant) -> Kernel:
     """Reduce the input exhaustively under the given variant.
 
     The 2pack variant performs no reductions and returns the unreduced graph
-    with an empty log.
+    with an empty log.  The report's kernel sizes are taken here, before
+    squaring materializes the remaining 2-neighborhoods and so grows
+    ``two_edge_count``.
     """
     g = TwoLevelGraph(static)
     log = ReductionLog()
     counts: Counter = Counter()
     apply_rules_exhaustively(g, variant.rule_order, log, counts)
-    stats = KernelStats(
-        n=g.active_count,
-        m=g.one_edge_count,
-        m2=g.two_edge_count,
+    report = KernelReport(
+        n_kernel=g.active_count,
+        m_kernel=g.one_edge_count,
+        m2_kernel=g.two_edge_count,
+        offset=log.offset,
         rule_counts=dict(counts),
     )
-    return Kernel(graph=g, log=log, stats=stats)
+    return Kernel(graph=g, log=log, report=report)
 
 
 def reconstruct(log: ReductionLog, kernel_solution: Iterable[int]) -> set[int]:

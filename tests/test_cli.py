@@ -205,3 +205,128 @@ def test_module_invocation_help():
     )
     assert proc.returncode == 0
     assert "--reductions" in proc.stdout
+
+
+LESMIS = Path(__file__).resolve().parent.parent / "data" / "instances" / "lesmis.graph"
+MS_CELLS = (5, 6)  # t_find_ms, t_prove_ms: wall times, masked when present
+
+
+def _mask_times(out: str) -> str:
+    lines = out.split("\n")
+    if lines[0] == CSV_HEADER:
+        cells = lines[1].split(",")
+        for i in MS_CELLS:
+            cells[i] = "MS" if cells[i] else ""
+        lines[1] = ",".join(cells)
+    else:
+        for i, line in enumerate(lines):
+            key = line[:11].rstrip()
+            if key in ("t_find_ms", "t_prove_ms") and line[12:]:
+                lines[i] = line[:12] + "MS"
+    return "\n".join(lines)
+
+
+GOLDEN = {
+    ("--stats", "csv"): (0, f"{CSV_HEADER}\nlesmis,elaborated,exact,0,10,MS,MS,0,0,0,0,10,ok\n"),
+    ("--stats", "table"): (0, (
+        "instance    lesmis\n"
+        "variant     elaborated\n"
+        "mode        exact\n"
+        "seed        0\n"
+        "size        10\n"
+        "t_find_ms   MS\n"
+        "t_prove_ms  MS\n"
+        "n_kernel    0\n"
+        "m_kernel    0\n"
+        "n_sq        0\n"
+        "m_sq        0\n"
+        "offset      10\n"
+        "status      ok\n"
+    )),
+    ("--kernel-only", "--stats", "csv"): (0, (
+        "instance,variant,n,m,n_kernel,m_kernel,m2_kernel,n_sq,m_sq,offset,n_ratio,m_ratio\n"
+        "lesmis,elaborated,77,254,0,0,0,0,0,10,0.0,0.0\n"
+    )),
+    ("--kernel-only", "--stats", "csv", "--reductions", "2pack"): (0, (
+        "instance,variant,n,m,n_kernel,m_kernel,m2_kernel,n_sq,m_sq,offset,n_ratio,m_ratio\n"
+        "lesmis,2pack,77,254,77,254,0,77,1249,0,100.0,491.73\n"
+    )),
+    ("--kernel-only",): (0, (
+        "instance    lesmis\n"
+        "variant     elaborated\n"
+        "n           77\n"
+        "m           254\n"
+        "n_kernel    0\n"
+        "m_kernel    0\n"
+        "m2_kernel   0\n"
+        "n_sq        0\n"
+        "m_sq        0\n"
+        "offset      10\n"
+        "n_ratio     0.0\n"
+        "m_ratio     0.0\n"
+    )),
+    ("--kernel-only", "--reductions", "2pack"): (0, (
+        "instance    lesmis\n"
+        "variant     2pack\n"
+        "n           77\n"
+        "m           254\n"
+        "n_kernel    77\n"
+        "m_kernel    254\n"
+        "m2_kernel   0\n"
+        "n_sq        77\n"
+        "m_sq        1249\n"
+        "offset      0\n"
+        "n_ratio     100.0\n"
+        "m_ratio     491.73\n"
+    )),
+}
+
+
+class TestGoldenOutput:
+    """The CLI's stdout, stderr and exit code, byte for byte (wall times masked)."""
+
+    @pytest.mark.parametrize("args", list(GOLDEN), ids=" ".join)
+    def test_lesmis(self, capsys, args):
+        code, out, err = run_cli(capsys, "--input", str(LESMIS), *args)
+        assert (code, _mask_times(out), err) == (*GOLDEN[args], "")
+
+    @pytest.fixture
+    def star_file(self, tmp_path):
+        path = tmp_path / "star.graph"
+        path.write_text(write_metis(star_graph(5, center=0)))
+        return path
+
+    def test_memcap_csv(self, capsys, star_file):
+        code, out, err = run_cli(
+            capsys, "--input", str(star_file), "--reductions", "2pack",
+            "--edge-cap", "5", "--stats", "csv",
+        )
+        assert (code, out, err) == (3, f"{CSV_HEADER}\nstar,2pack,exact,0,0,,,6,5,,,0,memcap\n", "")
+
+    def test_memcap_table(self, capsys, star_file):
+        code, out, err = run_cli(
+            capsys, "--input", str(star_file), "--reductions", "2pack", "--edge-cap", "5",
+        )
+        want = (
+            "instance    star\n"
+            "variant     2pack\n"
+            "mode        exact\n"
+            "seed        0\n"
+            "size        0\n"
+            "t_find_ms   \n"
+            "t_prove_ms  \n"
+            "n_kernel    6\n"
+            "m_kernel    5\n"
+            "n_sq        \n"
+            "m_sq        \n"
+            "offset      0\n"
+            "status      memcap\n"
+        )
+        assert (code, out, err) == (3, want, "")
+
+    def test_kernel_only_memcap(self, capsys, star_file):
+        code, out, err = run_cli(
+            capsys, "--input", str(star_file), "--reductions", "2pack",
+            "--edge-cap", "5", "--kernel-only",
+        )
+        assert (code, out, err) == (3, "", "error: square graph exceeds the edge cap\n")

@@ -227,6 +227,13 @@ def test_local_search_matches_reference(n, p, seed, pick_seed, density, independ
     assert got_rng.getstate() == want_rng.getstate()
 
 
+@pytest.mark.parametrize("solver", [exact_mis, heuristic_mis])
+@pytest.mark.parametrize("seconds", [0.0, -1.0])
+def test_empty_square_is_proven_without_budget(solver, seconds):
+    res = solver(as_square(StaticGraph.from_edges(0, [])), Deadline(seconds=seconds))
+    assert (res.vertices, res.size, res.proven_optimal, res.nodes_explored) == (frozenset(), 0, True, 0)
+
+
 class TestExact:
     def test_k3(self):
         res = exact_mis(as_square(complete_graph(3)), LONG)

@@ -94,6 +94,14 @@ class TestSolve:
         sol = solve_m2s(path_graph(4), SolverConfig(mode=SolverMode.HEURISTIC))
         assert sol.proven_optimal and sol.size == 2
 
+    @pytest.mark.parametrize("mode", list(SolverMode))
+    def test_empty_kernel_is_proven_with_budget_spent(self, mode):
+        # 1e-9 s is gone before the MIS phase starts: the empty square is
+        # still proven, not answered first-fit.
+        sol = solve_m2s(path_graph(4), SolverConfig(mode=mode, time_limit=1e-9))
+        assert (sol.size, sol.proven_optimal, sol.mis_nodes) == (2, True, 0)
+        assert (sol.kernel.n_square, sol.kernel.m_square) == (0, 0)
+
     def test_exact_matches_oracle(self):
         for seed in range(15):
             g = gnp_graph(13, 0.3, 400 + seed)
@@ -165,17 +173,25 @@ class TestConfigValidation:
 class TestKernelRatios:
     def test_empty_kernel(self):
         sol = solve_m2s(path_graph(4), SolverConfig())
-        assert kernel_ratios(path_graph(4), sol) == (0.0, 0.0)
+        assert kernel_ratios(path_graph(4), sol.kernel) == (0.0, 0.0)
 
     def test_two_pack_keeps_all_vertices(self):
         g = path_graph(5)
         sol = solve_m2s(g, SolverConfig(variant=ReductionVariant.TWO_PACK))
-        n_ratio, m_ratio = kernel_ratios(g, sol)
+        n_ratio, m_ratio = kernel_ratios(g, sol.kernel)
         assert n_ratio == 100.0
         assert m_ratio == pytest.approx(175.0)
 
     def test_edgeless_input(self):
         g = StaticGraph.from_edges(3, [])
         sol = solve_m2s(g, SolverConfig(variant=ReductionVariant.TWO_PACK))
-        n_ratio, m_ratio = kernel_ratios(g, sol)
+        n_ratio, m_ratio = kernel_ratios(g, sol.kernel)
         assert n_ratio == 100.0 and m_ratio == 0.0
+
+
+def test_package_exports_resolve_once():
+    import twopack
+
+    assert len(twopack.__all__) == len(set(twopack.__all__))
+    missing = [name for name in twopack.__all__ if not hasattr(twopack, name)]
+    assert missing == []

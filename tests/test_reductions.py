@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 from collections import Counter
@@ -322,7 +323,7 @@ class TestReduce:
         kernel = reduce(g, ReductionVariant.TWO_PACK)
         assert kernel.graph.active_count == 4
         assert len(kernel.log) == 0
-        assert kernel.stats.rule_counts == {}
+        assert kernel.report.rule_counts == {}
 
     def test_p4_elaborated_empties(self):
         kernel = reduce(path_graph(4), ReductionVariant.ELABORATED)
@@ -344,8 +345,8 @@ class TestReduce:
 
     def test_kernel_stats_counts(self):
         kernel = reduce(path_graph(4), ReductionVariant.ELABORATED)
-        assert sum(kernel.stats.rule_counts.values()) >= 2
-        assert kernel.stats.n == 0 and kernel.stats.m == 0
+        assert sum(kernel.report.rule_counts.values()) >= 2
+        assert kernel.report.n_kernel == 0 and kernel.report.m_kernel == 0
 
 
 class TestReconstruct:
@@ -392,7 +393,7 @@ def test_each_rule_preserves_optimum(n, p, seed):
         base.remove_vertex(rng.choice(active), VertexStatus.EXCLUDED)
     before = _conflict_alpha(g, base)
     for kind, func in _RULE_FUNCS.items():
-        work = base.clone()
+        work = copy.deepcopy(base)
         for v in work.active_vertices():
             if func(work, v) is not None:
                 included = sum(
@@ -424,7 +425,7 @@ def test_exhaustiveness_on_corpus(full_corpus):
             counts: Counter = Counter()
             from twopack.reductions import apply_rules_exhaustively
 
-            apply_rules_exhaustively(kernel.graph.clone(), variant.rule_order, follow_up, counts)
+            apply_rules_exhaustively(copy.deepcopy(kernel.graph), variant.rule_order, follow_up, counts)
             assert len(follow_up) == 0
             assert sum(counts.values()) == 0
 
@@ -482,9 +483,9 @@ def test_memoized_schedule_matches_plain_restart_policy():
 
 def test_variant_dominance(full_corpus):
     for _, g in full_corpus[::5]:
-        baseline = reduce(g, ReductionVariant.TWO_PACK).stats.n
-        assert reduce(g, ReductionVariant.CORE).stats.n <= baseline
-        assert reduce(g, ReductionVariant.ELABORATED).stats.n <= baseline
+        baseline = reduce(g, ReductionVariant.TWO_PACK).report.n_kernel
+        assert reduce(g, ReductionVariant.CORE).report.n_kernel <= baseline
+        assert reduce(g, ReductionVariant.ELABORATED).report.n_kernel <= baseline
 
 
 def test_kernel_partitions_vertices(full_corpus):
@@ -559,7 +560,7 @@ def test_rules_match_reference(n, p, seed, removals, materialize):
         if active:
             base.materialize_two_neighborhood(active[pick % len(active)])
     for v in active:
-        got, want = base.clone(), base.clone()
+        got, want = copy.deepcopy(base), copy.deepcopy(base)
         got_log, want_log = ReductionLog(), ReductionLog()
         assert try_domination(got, v, got_log) == reference_domination(want, v, want_log), v
         assert graph_state(got) == graph_state(want), v
@@ -587,7 +588,7 @@ def test_filtered_domination_matches_full_probe(n, p, seed, before, after):
             return
         base.remove_vertex(active[pick % len(active)], VertexStatus.EXCLUDED)
     for v in base.active_vertices():
-        g = base.clone()
+        g = copy.deepcopy(base)
         if try_domination(g, v) is not None:
             continue
         balls: list[set[int]] = []
@@ -598,7 +599,7 @@ def test_filtered_domination_matches_full_probe(n, p, seed, before, after):
                 break
             mark = VertexStatus.INCLUDED if pick % 2 else VertexStatus.EXCLUDED
             g.remove_vertex(others[pick % len(others)], mark)
-        got, want = g.clone(), g.clone()
+        got, want = copy.deepcopy(g), copy.deepcopy(g)
         got_log, want_log = ReductionLog(), ReductionLog()
         assert try_domination(got, v, got_log, balls) == try_domination(want, v, want_log), v
         assert graph_state(got) == graph_state(want), v
@@ -632,7 +633,7 @@ def test_reduction_trace_is_pinned(name):
     kernel = reduce(make(), ReductionVariant.ELABORATED)
     entries = [(e.vertex, e.decision.value, e.rule.value) for e in kernel.log.entries]
     assert hashlib.sha1(repr(entries).encode()).hexdigest() == digest
-    assert (kernel.stats.n, kernel.stats.m, kernel.stats.m2) == sizes
+    assert (kernel.report.n_kernel, kernel.report.m_kernel, kernel.report.m2_kernel) == sizes
 
 
 # Kernel (n, offset, m + m2) under ELABORATED, recorded with the ten-rule
@@ -651,8 +652,8 @@ KERNEL_POWER = {
 def test_kernel_power_is_pinned(name):
     make, pinned = KERNEL_POWER[name]
     kernel = reduce(make(), ReductionVariant.ELABORATED)
-    stats = kernel.stats
-    assert (stats.n, kernel.log.offset, stats.m + stats.m2) == pinned
+    report = kernel.report
+    assert (report.n_kernel, report.offset, report.m_kernel + report.m2_kernel) == pinned
 
 
 def test_domination_materializes_only_fresh_vertices(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from itertools import combinations
 
 import pytest
@@ -147,7 +148,7 @@ def test_square_matches_accessor_construction(n, p, seed, removals, materialize)
     for pick in materialize:
         if active:
             base.materialize_two_neighborhood(active[pick % len(active)])
-    got, want = base.clone(), base.clone()
+    got, want = copy.deepcopy(base), copy.deepcopy(base)
     assert square(got) == reference_square(want)
     assert got._two == want._two
     assert [got.is_materialized(v) for v in range(n)] == [
