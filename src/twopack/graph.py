@@ -27,10 +27,12 @@ class StaticGraph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
     Neighbor lists are sorted ascending.  Self-loops, duplicate edges and
-    asymmetric adjacency input are rejected at construction time.
+    asymmetric adjacency input are rejected at construction time; the
+    per-vertex sets that check uses are dropped afterwards, so a graph keeps
+    only its adjacency tuples.
     """
 
-    __slots__ = ("n", "adjacency", "m", "_sets")
+    __slots__ = ("n", "adjacency", "m")
 
     def __init__(self, adjacency: Sequence[Iterable[int]]):
         n = len(adjacency)
@@ -56,7 +58,6 @@ class StaticGraph:
         self.n = n
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(adj)
         self.m = total // 2
-        self._sets = tuple(sets)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> StaticGraph:
@@ -72,9 +73,6 @@ class StaticGraph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._sets[v]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -107,12 +105,15 @@ class TwoLevelGraph:
     distance-two neighborhood of a vertex is computed on demand by
     ``materialize_two_neighborhood`` and kept up to date afterwards.
 
-    ``neighbors``, ``degree``, ``has_edge``, ``has_two_edge``,
-    ``two_neighbors``, ``degree2``, ``materialize_two_neighborhood`` and
-    ``remove_vertex`` reject an out-of-range or inactive vertex with
-    ``GraphError`` (``has_edge`` and ``has_two_edge`` check their first
-    vertex), and the set-valued ones return copies.  ``status``, ``is_active`` and ``is_materialized`` do no
-    activity check.
+    ``neighbors``, ``degree``, ``has_two_edge``,
+    ``materialize_two_neighborhood`` and ``remove_vertex`` reject an
+    out-of-range or inactive vertex with ``GraphError`` (``has_two_edge``
+    checks its first vertex), and the set-valued ones return copies.
+    ``status``, ``is_materialized``, ``active_vertices`` and the three counts
+    do no activity check.  Each graph fact has one name: whether ``v`` is
+    active is ``status(v) is VertexStatus.ACTIVE``, the edge test is
+    ``v in neighbors(u)``, and the 2-neighborhood is
+    ``materialize_two_neighborhood(v)``.
 
     The reduction rules in ``reductions`` run millions of probes, so they
     skip those checks and copies: they read ``_one[v]`` (edges), ``_two[v]``
@@ -152,9 +153,6 @@ class TwoLevelGraph:
     def status(self, v: int) -> VertexStatus:
         return self._status[v]
 
-    def is_active(self, v: int) -> bool:
-        return self._status[v] is VertexStatus.ACTIVE
-
     def active_vertices(self) -> list[int]:
         """Active vertex IDs in ascending order."""
         return [v for v in range(self.n) if self._status[v] is VertexStatus.ACTIVE]
@@ -172,10 +170,6 @@ class TwoLevelGraph:
     def degree(self, v: int) -> int:
         self._require_active(v)
         return len(self._one[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._require_active(u)
-        return v in self._one[u]
 
     def has_two_edge(self, u: int, v: int) -> bool:
         """Whether a conflict edge (u, v) has been recorded so far."""
@@ -209,13 +203,6 @@ class TwoLevelGraph:
             self._m2 += len(fresh)
             self._materialized[v] = True
         return set(self._two[v])
-
-    def two_neighbors(self, v: int) -> set[int]:
-        return self.materialize_two_neighborhood(v)
-
-    def degree2(self, v: int) -> int:
-        self.materialize_two_neighborhood(v)
-        return len(self._two[v])
 
     # -- mutation ------------------------------------------------------------
 

@@ -4,6 +4,9 @@ The reduction and transformation phases are polynomial and run without a
 deadline; whatever remains of the time budget goes to the MIS phase.  An
 empty kernel takes the same path: its square is empty, which both MIS back
 ends prove at once whatever the budget, so the reductions alone prove it.
+Whether an answer is proven is decided in one place, the MIS back end: the
+pipeline passes its claim on unchanged, so heuristic mode claims a proof
+only for an empty or edgeless square.
 """
 
 from __future__ import annotations
@@ -117,7 +120,11 @@ def square_kernel(kernel: Kernel, edge_cap: int) -> SquareGraph:
 
 
 def solve_m2s(g: StaticGraph, cfg: SolverConfig) -> Solution:
-    """Run the full pipeline on ``g`` under ``cfg`` and return the solution."""
+    """Run the full pipeline on ``g`` under ``cfg`` and return the solution.
+
+    ``proven_optimal`` is the MIS back end's own claim: the reductions are
+    exact, so a proven MIS of the square is a proven maximum 2-packing.
+    """
     t0 = time.perf_counter()
     kernel = reduce(g, cfg.variant)
     t_reduce = time.perf_counter() - t0
@@ -136,8 +143,7 @@ def solve_m2s(g: StaticGraph, cfg: SolverConfig) -> Solution:
     t_solve = time.perf_counter() - t2
 
     vertices = frozenset(reconstruct(kernel.log, sq.original_ids(result.vertices)))
-    # A heuristic-mode proof counts only for an empty kernel: the reductions proved it.
-    proven = result.proven_optimal and (cfg.mode is SolverMode.EXACT or sq.n == 0)
+    proven = result.proven_optimal
     total = time.perf_counter() - t0
     timings = PhaseTimings(reduce=t_reduce, transform=t_transform, solve=t_solve, total=total)
     solution = Solution(

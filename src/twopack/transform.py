@@ -50,9 +50,6 @@ class SquareGraph:
         mapping = tuple(to_original) if to_original is not None else tuple(range(n))
         return cls(n=n, adjacency=adj, m=m, to_original=mapping)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in self.adjacency[u]:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import tracemalloc
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +46,23 @@ class TestStaticGraph:
     def test_edges_sorted(self):
         g = StaticGraph.from_edges(4, [(2, 3), (0, 1), (1, 3)])
         assert list(g.edges()) == [(0, 1), (1, 3), (2, 3)]
+
+    def test_retains_about_its_adjacency(self):
+        # The symmetry check's per-vertex sets are dropped after construction:
+        # what a graph keeps is its adjacency tuples and little else.
+        rng = Random(7)
+        n = 2000
+        edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(8000)}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = StaticGraph.from_edges(n, edges)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        adjacency = sys.getsizeof(g.adjacency) + sum(sys.getsizeof(t) for t in g.adjacency)
+        assert g.m > 7500
+        assert retained < 1.5 * adjacency
 
 
 class TestBuild:
@@ -93,6 +114,12 @@ class TestMaterialize:
         with pytest.raises(GraphError, match="not active"):
             g.materialize_two_neighborhood(0)
 
+    @pytest.mark.parametrize("v", [3, -1])
+    def test_out_of_range_vertex_rejected(self, v):
+        g = TwoLevelGraph(path_graph(3))
+        with pytest.raises(GraphError, match="out of range"):
+            g.materialize_two_neighborhood(v)
+
 
 class TestRemoveVertex:
     def test_p3_retains_two_edge(self):
@@ -107,20 +134,20 @@ class TestRemoveVertex:
         g = TwoLevelGraph(path_graph(2))
         g.remove_vertex(0, VertexStatus.EXCLUDED)
         assert g.degree(1) == 0
-        assert g.two_neighbors(1) == set()
+        assert g.materialize_two_neighborhood(1) == set()
 
     def test_star_center_removal_keeps_leaf_conflicts(self):
         g = TwoLevelGraph(star_graph(3, center=0))
         g.remove_vertex(0, VertexStatus.EXCLUDED)
         assert g.two_edge_count == 3
         for u in (1, 2, 3):
-            assert g.two_neighbors(u) == {1, 2, 3} - {u}
+            assert g.materialize_two_neighborhood(u) == {1, 2, 3} - {u}
 
     def test_no_retention_between_adjacent_neighbors(self):
         g = TwoLevelGraph(complete_graph(3))
         g.remove_vertex(0, VertexStatus.INCLUDED)
         assert not g.has_two_edge(1, 2)
-        assert g.has_edge(1, 2)
+        assert 2 in g.neighbors(1)
 
     def test_double_removal_rejected(self):
         g = TwoLevelGraph(path_graph(3))
@@ -133,23 +160,30 @@ class TestRemoveVertex:
         with pytest.raises(GraphError, match="mark"):
             g.remove_vertex(0, VertexStatus.ACTIVE)
 
+    @pytest.mark.parametrize("v", [3, -1])
+    def test_out_of_range_vertex_rejected(self, v):
+        g = TwoLevelGraph(path_graph(3))
+        with pytest.raises(GraphError, match="out of range"):
+            g.remove_vertex(v, VertexStatus.EXCLUDED)
+        assert g.active_count == 3
+
 
 class TestAccessors:
     def test_p5_center_degrees(self):
         g = TwoLevelGraph(path_graph(5))
         assert g.degree(2) == 2
-        assert g.degree2(2) == 2
-        assert g.two_neighbors(2) == {0, 4}
+        assert len(g.materialize_two_neighborhood(2)) == 2
+        assert g.materialize_two_neighborhood(2) == {0, 4}
 
     def test_c4_opposite_vertex(self):
         g = TwoLevelGraph(cycle_graph(4))
         for v in range(4):
-            assert g.degree2(v) == 1
+            assert len(g.materialize_two_neighborhood(v)) == 1
 
     def test_isolated_vertex(self):
         g = TwoLevelGraph(StaticGraph.from_edges(1, []))
         assert g.degree(0) == 0
-        assert g.degree2(0) == 0
+        assert len(g.materialize_two_neighborhood(0)) == 0
 
     def test_inactive_access_rejected(self):
         g = TwoLevelGraph(path_graph(3))
@@ -182,9 +216,9 @@ def test_conflict_preservation_under_removals(params):
         tlg.remove_vertex(active[pick % len(active)], mark)
     sq = brute_square(g)
     for v in tlg.active_vertices():
-        expected = {w for w in sq.adjacency[v] if tlg.is_active(w)}
+        expected = {w for w in sq.adjacency[v] if tlg.status(w) is VertexStatus.ACTIVE}
         one = tlg.neighbors(v)
-        two = tlg.two_neighbors(v)
+        two = tlg.materialize_two_neighborhood(v)
         assert one | two == expected
         assert not one & two
         # no spurious conflicts: recorded 2-edges are exact distance-2 pairs
@@ -202,10 +236,10 @@ def test_symmetry_after_removals(params):
         if not active:
             break
         tlg.remove_vertex(active[pick % len(active)], VertexStatus.EXCLUDED)
-        if active[0] in tlg.active_vertices() and tlg.is_active(active[0]):
+        if active[0] in tlg.active_vertices() and tlg.status(active[0]) is VertexStatus.ACTIVE:
             tlg.materialize_two_neighborhood(active[0])
     for v in tlg.active_vertices():
         for w in tlg.neighbors(v):
-            assert tlg.has_edge(w, v)
-        for w in tlg.two_neighbors(v):
+            assert v in tlg.neighbors(w)
+        for w in tlg.materialize_two_neighborhood(v):
             assert tlg.has_two_edge(w, v)

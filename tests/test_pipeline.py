@@ -95,6 +95,17 @@ class TestSolve:
         assert sol.proven_optimal and sol.size == 2
 
     @pytest.mark.parametrize("mode", list(SolverMode))
+    def test_edgeless_square_is_proven(self, mode):
+        # Without reductions the square keeps all three vertices and no edge:
+        # both back ends take every vertex and the pipeline keeps their proof.
+        g = StaticGraph.from_edges(3, [])
+        cfg = SolverConfig(variant=ReductionVariant.TWO_PACK, mode=mode, max_nodes=10)
+        sol = solve_m2s(g, cfg)
+        assert (sol.size, sol.proven_optimal) == (3, True)
+        assert (sol.kernel.n_square, sol.kernel.m_square) == (3, 0)
+        assert sol.time_to_proof is not None
+
+    @pytest.mark.parametrize("mode", list(SolverMode))
     def test_empty_kernel_is_proven_with_budget_spent(self, mode):
         # 1e-9 s is gone before the MIS phase starts: the empty square is
         # still proven, not answered first-fit.
