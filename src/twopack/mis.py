@@ -1,12 +1,13 @@
 """Maximum independent set back ends for square graphs.
 
-Two solvers over a shared bitmask representation: an exact branch-and-bound
-with interleaved cheap reductions and a greedy clique-cover bound, which
-branches only on vertices the bound could not charge to the incumbent, and an
-iterated (1,2)-swap local search.  The local search works on whole masks: one
-pass over the solution builds the cover masks (vertices with at least one and
-at least two solution neighbours), the 1-tight vertices are those covered
-once, and a member's swap candidates are its neighbourhood ANDed with them.
+Two solvers over a shared bitmask representation: an exact branch-and-bound,
+which takes isolated and pendant vertices at every node, bounds with a greedy
+clique cover and branches only on vertices the bound could not charge to the
+incumbent, and an iterated (1,2)-swap local search.  The local search works
+on whole masks: one pass over the solution builds the cover masks (vertices
+with at least one and at least two solution neighbours), the 1-tight
+vertices are those covered once, and a member's swap candidates are its
+neighbourhood ANDed with them.
 All randomness flows from a single seed; with a node budget instead of a wall
 clock, runs are bit-identical.
 """
@@ -246,44 +247,65 @@ def heuristic_mis(
 # -- exact branch and bound ----------------------------------------------------
 
 
-def _clique_cover(alive: int, nb: list[int], order: list[int]) -> list[int]:
-    """Greedy clique cover of the residual graph, as one member mask per
-    clique; its length bounds the MIS."""
-    commons: list[int] = []
-    cliques: list[int] = []
+def _cover_ordered_masks(sq: SquareGraph) -> tuple[list[int], list[int], list[int]]:
+    """Renumber the square's vertices in cover order, ``(degree, index)``
+    ascending: ``order[r]`` is the vertex of rank ``r``, ``rank[v]`` the rank
+    of vertex ``v``, and ``nb[r]`` the mask of rank ``r``'s neighbours' ranks."""
+    adjacency = sq.adjacency
+    order = sorted(range(sq.n), key=lambda v: (len(adjacency[v]), v))
+    rank = [0] * sq.n
+    for r, v in enumerate(order):
+        rank[v] = r
+    nb = []
     for v in order:
-        bit = 1 << v
-        if not alive & bit:
-            continue
-        nv = nb[v] & alive
-        for i, common in enumerate(commons):
-            if common & bit:
-                commons[i] = common & nv
-                cliques[i] |= bit
-                break
-        else:
-            commons.append(nv)
-            cliques.append(bit)
+        mask = 0
+        for w in adjacency[v]:
+            mask |= 1 << rank[w]
+        nb.append(mask)
+    return order, rank, nb
+
+
+def _clique_cover(alive: int, nb: list[int]) -> list[int]:
+    """Greedy clique cover of the residual graph, as one member mask per
+    clique; its length bounds the MIS.
+
+    Each clique starts at the lowest alive vertex and takes, lowest first,
+    every vertex adjacent to all members so far: on cover-ordered labels, the
+    cliques of sequential first-fit over the cover order, built a class at a
+    time (San Segundo et al., C&OR 38, 2011).
+    """
+    cliques: list[int] = []
+    while alive:
+        clique = alive & -alive
+        cand = nb[clique.bit_length() - 1] & alive
+        while cand:
+            low = cand & -cand
+            clique |= low
+            cand &= nb[low.bit_length() - 1]
+        alive ^= clique
+        cliques.append(clique)
     return cliques
 
 
 def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
     """Branch and bound with include/exclude branches.
 
-    Each node first applies cheap reductions to a fixed point (isolated and
-    pendant vertices are included, vertices with a dominated closed
-    neighborhood excluded), then covers the residual graph with greedy
-    cliques and prunes when the chosen vertices plus the clique count cannot
-    beat the incumbent.  Otherwise it branches on a vertex outside the first
-    ``best - size`` cliques, the one with the most alive neighbours (lowest
-    index on ties), as MCS does (Tomita et al., WALCOM 2010).  The initial
-    incumbent is one greedy maximal set taken to a (1,2)-swap local optimum,
-    without the iterated search.  ``nodes_explored`` counts the nodes that
-    passed the clock and node-budget checks, so a node-budget abort reports
-    exactly ``deadline.max_nodes``.  When the deadline expires the best
-    solution found so far is returned unproven; with no budget left at the
-    call (``deadline.seconds <= 0``) that is a first-fit maximal independent
-    set, except on an empty square, which is proven whatever the budget.
+    Each node first includes isolated and pendant vertices to a fixed point,
+    then covers the residual graph with greedy cliques and prunes when the
+    chosen vertices plus the clique count cannot beat the incumbent.
+    Otherwise it branches on a vertex outside the first ``best - size``
+    cliques, the one with the most alive neighbours (lowest cover rank on
+    ties), as MCS does (Tomita et al., WALCOM 2010).  The initial incumbent
+    is one greedy maximal set taken to a (1,2)-swap local optimum, without
+    the iterated search, on the square's own labels.  The search then runs on
+    vertices renumbered once in cover order, ``(degree, index)`` ascending,
+    so each clique of the cover is built a class at a time; the answer is
+    mapped back.  ``nodes_explored`` counts the nodes that passed the clock
+    and node-budget checks, so a node-budget abort reports exactly
+    ``deadline.max_nodes``.  When the deadline expires the best solution
+    found so far is returned unproven; with no budget left at the call
+    (``deadline.seconds <= 0``) that is a first-fit maximal independent set,
+    except on an empty square, which is proven whatever the budget.
     """
     start = time.perf_counter()
     n = sq.n
@@ -294,11 +316,14 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
     nb = _adjacency_masks(sq)
     rng = Random(seed)
     warm = _local_optimum(n, nb, _greedy_maximal(n, nb, rng), rng)
-    best_mask = warm
     best = warm.bit_count()
     time_to_best = time.perf_counter() - start
 
-    cover_order = sorted(range(n), key=lambda v: (nb[v].bit_count(), v))
+    # From here on, nb and every mask are in cover ranks.
+    order, rank, nb = _cover_ordered_masks(sq)
+    best_mask = 0
+    for v in _bits(warm):
+        best_mask |= 1 << rank[v]
     full = (1 << n) - 1
     t_end = start + deadline.seconds
     stack: list[tuple[int, int]] = [(full, 0)]
@@ -332,23 +357,6 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
                     alive &= ~(low | nv)
                     a &= alive
                     changed = True
-            a = alive
-            while a:
-                low = a & -a
-                a ^= low
-                u = low.bit_length() - 1
-                nu = nb[u] & alive
-                # N[v] within N[u] for a neighbour v iff v has no alive
-                # neighbour outside N[u].
-                out_u = alive & ~(nu | low)
-                b = nu
-                while b:
-                    vb = b & -b
-                    b ^= vb
-                    if not nb[vb.bit_length() - 1] & out_u:
-                        alive ^= low
-                        changed = True
-                        break
             if not changed:
                 break
 
@@ -360,7 +368,7 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
                 time_to_best = time.perf_counter() - start
             continue
         size = chosen.bit_count()
-        cliques = _clique_cover(alive, nb, cover_order)
+        cliques = _clique_cover(alive, nb)
         if size + len(cliques) <= best:
             continue
         # A clique holds at most one vertex of an independent set, so one
@@ -381,9 +389,10 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
         stack.append((alive & ~bit, chosen))
         stack.append((alive & ~(nb[branch_v] | bit), chosen | bit))
 
-    assert all(nb[v] & best_mask == 0 for v in _mask_to_set(best_mask))
+    ranks = _bits(best_mask)
+    assert all(nb[r] & best_mask == 0 for r in ranks)
     return MisResult(
-        vertices=_mask_to_set(best_mask),
+        vertices=frozenset(order[r] for r in ranks),
         size=best,
         proven_optimal=not aborted,
         nodes_explored=nodes,

@@ -60,22 +60,23 @@ def kernel_square(g: StaticGraph) -> SquareGraph:
 
 # name -> (square, max_nodes, (size, nodes_explored, sorted vertices)) of
 # exact_mis with seed 1, recorded with branching restricted to the cliques past
-# the first best - size of the cover, and with a node counted only once it
-# passes the clock and budget checks.  The two "abort" searches stop at the
-# node budget; the others finish with a proof.
+# the first best - size of the cover, with a node counted only once it passes
+# the clock and budget checks, and with the search on cover-ordered labels and
+# no in-node domination pass.  The two "abort" searches stop at the node
+# budget; the others finish with a proof.
 PINNED_SEARCHES = {
     "gnp-square": (
         lambda: square(TwoLevelGraph(gnp_graph(150, 0.025, 17))),
         2000,
-        (39, 37, [10, 14, 15, 18, 20, 21, 23, 26, 27, 28, 30, 35, 44, 53, 63, 64, 65, 67,
-                  69, 75, 83, 87, 89, 91, 102, 107, 108, 111, 112, 115, 116, 122, 123, 125,
+        (39, 81, [10, 14, 15, 18, 20, 21, 23, 26, 27, 28, 30, 35, 44, 53, 63, 64, 65, 67,
+                  68, 69, 75, 83, 87, 89, 91, 102, 107, 111, 112, 115, 116, 122, 123, 125,
                   128, 135, 141, 143, 147]),
     ),
     "gnp-square-abort": (
         lambda: square(TwoLevelGraph(gnp_graph(120, 0.035, 3))),
         150,
-        (26, 150, [2, 4, 8, 10, 16, 27, 31, 40, 43, 49, 57, 58, 60, 67, 69, 70, 82, 87,
-                   90, 95, 103, 110, 115, 117, 118, 119]),
+        (25, 150, [3, 8, 10, 31, 32, 37, 38, 43, 46, 49, 50, 54, 58, 59, 63, 67, 69, 81,
+                   86, 95, 101, 103, 105, 117, 118]),
     ),
     "gnp-kernel": (
         lambda: kernel_square(gnp_graph(100, 0.04, 9)),
@@ -90,7 +91,7 @@ PINNED_SEARCHES = {
     "pa-kernel-90": (
         lambda: kernel_square(preferential_attachment(90, 3, 1)),
         2000,
-        (11, 65, [1, 11, 13, 23, 38, 45, 50, 55, 63, 64, 66]),
+        (11, 173, [1, 11, 13, 23, 38, 45, 50, 55, 63, 64, 66]),
     ),
     "pa-kernel-150-abort": (
         lambda: kernel_square(preferential_attachment(150, 3, 2)),
@@ -227,6 +228,106 @@ def test_local_search_matches_reference(n, p, seed, pick_seed, density, independ
     assert got_rng.getstate() == want_rng.getstate()
 
 
+# -- reference clique cover and relabelling --------------------------------------
+
+
+def reference_clique_cover(alive: int, nb: list[int], order: list[int]) -> list[int]:
+    """Reference _clique_cover: sequential first-fit over ``order`` on the
+    square's own labels, each vertex joining the first clique whose common
+    neighbourhood holds it."""
+    commons: list[int] = []
+    cliques: list[int] = []
+    for v in order:
+        bit = 1 << v
+        if not alive & bit:
+            continue
+        nv = nb[v] & alive
+        for i, common in enumerate(commons):
+            if common & bit:
+                commons[i] = common & nv
+                cliques[i] |= bit
+                break
+        else:
+            commons.append(nv)
+            cliques.append(bit)
+    return cliques
+
+
+def mask_of(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.sampled_from([0.08, 0.15, 0.3, 0.5, 0.8]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from([0.3, 0.7, 1.0]),
+)
+def test_clique_cover_matches_sequential_first_fit(n, p, seed, alive_seed, density):
+    """On cover-ordered labels, the class-at-a-time cover mapped back is the
+    sequential first-fit cover over the cover order, clique for clique; each
+    is a clique and together they partition the alive vertices."""
+    sq = as_square(gnp_graph(n, p, seed))
+    nb = twopack.mis._adjacency_masks(sq)
+    bits = twopack.mis._bits
+    order, rank, ranked = twopack.mis._cover_ordered_masks(sq)
+
+    def in_square_labels(mask: int) -> int:
+        return mask_of(order[r] for r in bits(mask))
+
+    assert order == sorted(range(n), key=lambda v: (nb[v].bit_count(), v))
+    assert all(order[rank[v]] == v for v in range(n))
+    assert all(in_square_labels(ranked[rank[v]]) == nb[v] for v in range(n))
+    picker = Random(alive_seed)
+    alive = mask_of(v for v in range(n) if picker.random() < density)
+    got = twopack.mis._clique_cover(mask_of(rank[v] for v in bits(alive)), ranked)
+    cliques = [in_square_labels(clique) for clique in got]
+    assert cliques == reference_clique_cover(alive, nb, order)
+    covered = 0
+    for clique in cliques:
+        assert clique and not clique & covered
+        covered |= clique
+        assert all(clique & ~nb[v] == 1 << v for v in bits(clique))
+    assert covered == alive
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.sampled_from([0.1, 0.2, 0.3]),
+    st.integers(0, 10**6),
+    st.sampled_from([None, 1, 2, 3, 4, 5]),
+    st.booleans(),
+)
+def test_exact_answer_is_in_square_labels(n, p, seed, max_nodes, squared):
+    """Proven or stopped by a node budget, the answer is checked on
+    ``sq.adjacency`` in the square's own labels: independent, and maximal
+    unless the search beat the maximal warm start; a proven size is the
+    oracle's wherever the oracle reaches."""
+    g = gnp_graph(n, p, seed)
+    sq = square(TwoLevelGraph(g)) if squared else as_square(g)
+    res = exact_mis(sq, Deadline(seconds=30.0, max_nodes=max_nodes), seed=seed)
+    assert res.vertices <= set(range(sq.n))
+    assert res.size == len(res.vertices)
+    assert_independent(sq, res.vertices)
+    nb = twopack.mis._adjacency_masks(sq)
+    rng = Random(seed)
+    warm = twopack.mis._local_optimum(sq.n, nb, twopack.mis._greedy_maximal(sq.n, nb, rng), rng)
+    if res.size == warm.bit_count():
+        assert_maximal(sq, res.vertices)
+    else:
+        assert res.size > warm.bit_count()
+    if not res.proven_optimal:
+        assert res.nodes_explored == max_nodes
+    elif sq.n <= 20:
+        assert res.size == brute_alpha(sq)
+
+
 @pytest.mark.parametrize("solver", [exact_mis, heuristic_mis])
 @pytest.mark.parametrize("seconds", [0.0, -1.0])
 def test_empty_square_is_proven_without_budget(solver, seconds):
@@ -331,12 +432,14 @@ class TestExact:
         ]
         assert all(res.proven_optimal for res in results)
         assert [res.size for res in results] == [11, 9, 13, 11, 10, 11, 11, 10, 12, 10]
-        assert sum(res.nodes_explored for res in results) == 436
+        assert sum(res.nodes_explored for res in results) == 536
 
     @pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
     def test_search_is_pinned(self, name):
         """Size, nodes and answer under a node budget are those of the
-        reference build: the in-node reductions remove the same vertices."""
+        reference build: the search takes the same isolated and pendant
+        vertices, covers with the same cliques and branches on the same
+        vertices, in the same order."""
         make, max_nodes, pinned = PINNED_SEARCHES[name]
         res = exact_mis(make(), Deadline(seconds=600.0, max_nodes=max_nodes), seed=1)
         assert (res.size, res.nodes_explored, sorted(res.vertices)) == pinned
