@@ -10,7 +10,6 @@ from .graphio import (
     ParseError,
     parse_edgelist,
     parse_metis,
-    write_edgelist,
     write_metis,
     write_solution,
 )
@@ -41,7 +40,6 @@ from .transform import (
     DEFAULT_EDGE_CAP,
     EdgeCapExceeded,
     SquareGraph,
-    equivalence_check,
     square,
 )
 
@@ -74,7 +72,6 @@ __all__ = [
     "brute_alpha",
     "brute_beta",
     "brute_square",
-    "equivalence_check",
     "exact_mis",
     "heuristic_mis",
     "kernel_ratios",
@@ -85,7 +82,6 @@ __all__ = [
     "solve_m2s",
     "square",
     "verify_2ps",
-    "write_edgelist",
     "write_metis",
     "write_solution",
 ]

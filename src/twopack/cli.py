@@ -1,8 +1,8 @@
 """Command-line entry point: parse a graph, solve, emit one run record.
 
-Exit codes: 0 success, 1 parse/usage errors, 2 exact-mode timeout without an
-optimality proof (the best solution is still written), 3 square-graph edge
-cap exceeded.
+Exit codes: 0 success, 1 parse/usage errors or an unreadable input or
+unwritable output file, 2 exact-mode timeout without an optimality proof (the
+best solution is still written), 3 square-graph edge cap exceeded.
 """
 
 from __future__ import annotations
@@ -94,10 +94,16 @@ def _emit_run(
     ])
 
 
-def _write_output(args, vertices) -> None:
+def _write_output(args, vertices) -> bool:
+    """Write the solution to ``--output``, if given; False if that failed."""
     if args.output:
         one_based = args.format == "metis" or args.edgelist_base == 1
-        Path(args.output).write_text(write_solution(vertices, one_based=one_based))
+        try:
+            Path(args.output).write_text(write_solution(vertices, one_based=one_based))
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return False
+    return True
 
 
 def _run_kernel_only(args, cfg: SolverConfig, name: str, graph) -> int:
@@ -149,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 1
 
@@ -160,13 +166,13 @@ def main(argv: list[str] | None = None) -> int:
         sol = solve_m2s(graph, cfg)
     except MemoryCapError as exc:
         _emit_run(args, name, len(exc.partial), exc.kernel, "memcap")
-        _write_output(args, exc.partial)
-        return 3
+        return 3 if _write_output(args, exc.partial) else 1
 
     timed_out = cfg.mode is SolverMode.EXACT and not sol.proven_optimal
     status = "timeout" if timed_out else "ok"
     _emit_run(args, name, sol.size, sol.kernel, status, sol.time_to_best, sol.time_to_proof)
-    _write_output(args, sol.vertices)
+    if not _write_output(args, sol.vertices):
+        return 1
     return 2 if timed_out else 0
 
 

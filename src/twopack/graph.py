@@ -105,10 +105,9 @@ class TwoLevelGraph:
     distance-two neighborhood of a vertex is computed on demand by
     ``materialize_two_neighborhood`` and kept up to date afterwards.
 
-    ``neighbors``, ``degree``, ``has_two_edge``,
-    ``materialize_two_neighborhood`` and ``remove_vertex`` reject an
-    out-of-range or inactive vertex with ``GraphError`` (``has_two_edge``
-    checks its first vertex), and the set-valued ones return copies.
+    ``neighbors``, ``degree``, ``materialize_two_neighborhood`` and
+    ``remove_vertex`` reject an out-of-range or inactive vertex with
+    ``GraphError``, and the set-valued ones return copies.
     ``status``, ``is_materialized``, ``active_vertices`` and the three counts
     do no activity check.  Each graph fact has one name: whether ``v`` is
     active is ``status(v) is VertexStatus.ACTIVE``, the edge test is
@@ -170,11 +169,6 @@ class TwoLevelGraph:
     def degree(self, v: int) -> int:
         self._require_active(v)
         return len(self._one[v])
-
-    def has_two_edge(self, u: int, v: int) -> bool:
-        """Whether a conflict edge (u, v) has been recorded so far."""
-        self._require_active(u)
-        return v in self._two[u]
 
     def is_materialized(self, v: int) -> bool:
         return self._materialized[v]

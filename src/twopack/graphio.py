@@ -16,7 +16,6 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-        self.reason = message
 
 
 def _is_comment(line: str) -> bool:
@@ -135,11 +134,6 @@ def write_metis(g: StaticGraph) -> str:
     for v in range(g.n):
         lines.append(" ".join(str(w + 1) for w in g.neighbors(v)))
     return "\n".join(lines) + "\n"
-
-
-def write_edgelist(g: StaticGraph, *, one_based: bool = False) -> str:
-    base = 1 if one_based else 0
-    return "".join(f"{u + base} {v + base}\n" for u, v in g.edges())
 
 
 def write_solution(vertices: Iterable[int], *, one_based: bool = True) -> str:

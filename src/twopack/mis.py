@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 from itertools import compress
 from random import Random
-from typing import Callable, Optional
 
 from .transform import SquareGraph
 
@@ -132,12 +131,7 @@ def _maximalize(n: int, nb: list[int], sol: int, rng: Random) -> int:
     return sol
 
 
-def _swap_pass(
-    nb: list[int],
-    sol: int,
-    rng: Random,
-    observer: Optional[Callable[[int, int], None]],
-) -> tuple[int, bool]:
+def _swap_pass(nb: list[int], sol: int, rng: Random) -> tuple[int, bool]:
     """One (1,2)-swap attempt: trade a solution vertex for two of its 1-tight
     neighbors that are mutually non-adjacent.
 
@@ -159,34 +153,20 @@ def _swap_pass(
             candidates ^= low1
             partners = candidates & ~nb[low1.bit_length() - 1]
             if partners:
-                swapped = (sol & ~(1 << v)) | low1 | (partners & -partners)
-                if observer is not None:
-                    observer(sol, swapped)
-                return swapped, True
+                return (sol & ~(1 << v)) | low1 | (partners & -partners), True
     return sol, False
 
 
-def _local_optimum(
-    n: int,
-    nb: list[int],
-    sol: int,
-    rng: Random,
-    observer: Optional[Callable[[int, int], None]] = None,
-) -> int:
+def _local_optimum(n: int, nb: list[int], sol: int, rng: Random) -> int:
     sol = _maximalize(n, nb, sol, rng)
     while True:
-        sol, improved = _swap_pass(nb, sol, rng, observer)
+        sol, improved = _swap_pass(nb, sol, rng)
         if not improved:
             return sol
         sol = _maximalize(n, nb, sol, rng)
 
 
-def heuristic_mis(
-    sq: SquareGraph,
-    deadline: Deadline,
-    seed: int = 0,
-    _swap_observer: Optional[Callable[[int, int], None]] = None,
-) -> MisResult:
+def heuristic_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
     """Iterated (1,2)-swap local search with perturbation restarts.
 
     Each local optimum alternates random maximalization with (1,2)-swaps.
@@ -210,7 +190,7 @@ def heuristic_mis(
     rng = Random(seed)
     nb = _adjacency_masks(sq)
     sol = _greedy_maximal(n, nb, rng)
-    sol = _local_optimum(n, nb, sol, rng, _swap_observer)
+    sol = _local_optimum(n, nb, sol, rng)
     best = sol
     best_size = best.bit_count()
     time_to_best = time.perf_counter() - start
@@ -227,7 +207,7 @@ def heuristic_mis(
         outside = _bits(full & ~sol)
         u = rng.choice(outside)
         sol = (sol & ~nb[u]) | (1 << u)
-        sol = _local_optimum(n, nb, sol, rng, _swap_observer)
+        sol = _local_optimum(n, nb, sol, rng)
         size = sol.bit_count()
         if size > best_size:
             best = sol

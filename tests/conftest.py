@@ -89,6 +89,11 @@ def induced_square_subgraph(g: StaticGraph, active: list[int]) -> SquareGraph:
     return SquareGraph.from_adjacency(adjacency, to_original=active)
 
 
+def square_edges(sq: SquareGraph) -> set[tuple[int, int]]:
+    """The square's edges as (u, v) pairs with u < v."""
+    return {(u, v) for u in range(sq.n) for v in sq.adjacency[u] if u < v}
+
+
 def _named_corpus() -> list[tuple[str, StaticGraph]]:
     graphs: list[tuple[str, StaticGraph]] = []
     for n in range(2, 11):

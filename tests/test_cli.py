@@ -120,6 +120,29 @@ class TestExitCodes:
         assert code == 1
         assert "cannot read" in err
 
+    def test_non_utf8_input_is_one(self, capsys, tmp_path):
+        path = tmp_path / "binary.graph"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code, out, err = run_cli(capsys, "--input", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and out == ""
+
+    @pytest.mark.parametrize("edge_cap", [None, "5"])
+    def test_unwritable_output_is_one(self, capsys, tmp_path, edge_cap):
+        path = tmp_path / "star.graph"
+        path.write_text(write_metis(star_graph(5, center=0)))
+        out_file = tmp_path / "missing" / "sol.txt"
+        cap = ["--edge-cap", edge_cap] if edge_cap else []
+        code, out, err = run_cli(
+            capsys,
+            "--input", str(path), "--reductions", "2pack", "--stats", "csv",
+            "--output", str(out_file), *cap,
+        )
+        assert code == 1
+        assert err.startswith(f"error: cannot write {out_file}: ")
+        status = out.strip().splitlines()[1].split(",")[-1]
+        assert status == ("memcap" if edge_cap else "ok")
+
     def test_usage_error_is_one(self, capsys, p4_file):
         code, _, err = run_cli(capsys, "--input", str(p4_file), "--solver", "magic")
         assert code == 1

@@ -100,7 +100,7 @@ class TestMaterialize:
     def test_symmetric_entries_on_partner(self):
         g = TwoLevelGraph(path_graph(3))
         g.materialize_two_neighborhood(0)
-        assert g.has_two_edge(2, 0)
+        assert 0 in g._two[2]
 
     def test_idempotent(self):
         g = TwoLevelGraph(path_graph(5))
@@ -127,7 +127,7 @@ class TestRemoveVertex:
         g.remove_vertex(1, VertexStatus.EXCLUDED)
         assert g.status(1) is VertexStatus.EXCLUDED
         assert g.degree(0) == 0
-        assert g.has_two_edge(0, 2)
+        assert 2 in g._two[0]
         assert g.two_edge_count == 1
 
     def test_p2_no_retention_for_single_neighbor(self):
@@ -146,7 +146,7 @@ class TestRemoveVertex:
     def test_no_retention_between_adjacent_neighbors(self):
         g = TwoLevelGraph(complete_graph(3))
         g.remove_vertex(0, VertexStatus.INCLUDED)
-        assert not g.has_two_edge(1, 2)
+        assert 2 not in g._two[1]
         assert 2 in g.neighbors(1)
 
     def test_double_removal_rejected(self):
@@ -242,4 +242,4 @@ def test_symmetry_after_removals(params):
         for w in tlg.neighbors(v):
             assert v in tlg.neighbors(w)
         for w in tlg.materialize_two_neighborhood(v):
-            assert tlg.has_two_edge(w, v)
+            assert v in tlg._two[w]

@@ -6,9 +6,9 @@ import pytest
 
 from twopack import (
     ParseError,
+    StaticGraph,
     parse_edgelist,
     parse_metis,
-    write_edgelist,
     write_metis,
     write_solution,
 )
@@ -108,6 +108,11 @@ class TestParseEdgelist:
     def test_below_base(self):
         with pytest.raises(ParseError, match="below base"):
             parse_edgelist("0 1\n", one_based=True)
+
+
+def write_edgelist(g: StaticGraph, *, one_based: bool = False) -> str:
+    base = 1 if one_based else 0
+    return "".join(f"{u + base} {v + base}\n" for u, v in g.edges())
 
 
 class TestRoundTrips:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from random import Random
-from typing import Callable, Optional
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -103,8 +104,9 @@ PINNED_SEARCHES = {
 
 
 # name -> (square, max_nodes, (size, nodes_explored, sorted vertices), SHA-1 of
-# the swap observer's (before, after) calls) of heuristic_mis with seed 1,
-# recorded with the local search that rescanned every member's neighbours.
+# the (before, after) masks of every accepted swap, as ``recorded_swaps``
+# lists them) of heuristic_mis with seed 1, recorded with the local search
+# that rescanned every member's neighbours.
 PINNED_ILS = {
     "gnp-square": (
         lambda: square(TwoLevelGraph(gnp_graph(150, 0.025, 17))),
@@ -152,6 +154,26 @@ PINNED_ILS = {
 }
 
 
+@contextmanager
+def recorded_swaps() -> Iterator[list[tuple[int, int]]]:
+    """Record the (before, after) masks of every swap ``_swap_pass`` makes
+    while the block runs, in order."""
+    swap_pass = twopack.mis._swap_pass
+    swaps: list[tuple[int, int]] = []
+
+    def recording(nb: list[int], sol: int, rng: Random) -> tuple[int, bool]:
+        swapped, improved = swap_pass(nb, sol, rng)
+        if improved:
+            swaps.append((sol, swapped))
+        return swapped, improved
+
+    twopack.mis._swap_pass = recording
+    try:
+        yield swaps
+    finally:
+        twopack.mis._swap_pass = swap_pass
+
+
 # -- reference local search ------------------------------------------------------
 
 
@@ -165,13 +187,7 @@ def reference_maximalize(n: int, nb: list[int], sol: int, rng: Random) -> int:
     return sol
 
 
-def reference_swap_pass(
-    n: int,
-    nb: list[int],
-    sol: int,
-    rng: Random,
-    observer: Optional[Callable[[int, int], None]],
-) -> tuple[int, bool]:
+def reference_swap_pass(n: int, nb: list[int], sol: int, rng: Random) -> tuple[int, bool]:
     """Reference _swap_pass: each member's 1-tight neighbours found one by one."""
     members = [v for v in range(n) if sol >> v & 1]
     rng.shuffle(members)
@@ -188,10 +204,7 @@ def reference_swap_pass(
         for i, u1 in enumerate(candidates):
             for u2 in candidates[i + 1 :]:
                 if not nb[u1] >> u2 & 1:
-                    swapped = (sol & ~bit_v) | (1 << u1) | (1 << u2)
-                    if observer is not None:
-                        observer(sol, swapped)
-                    return swapped, True
+                    return (sol & ~bit_v) | (1 << u1) | (1 << u2), True
     return sol, False
 
 
@@ -205,9 +218,9 @@ def reference_swap_pass(
     st.booleans(),
 )
 def test_local_search_matches_reference(n, p, seed, pick_seed, density, independent):
-    """_maximalize and _swap_pass return the same mask, make the same observer
-    calls and leave the generator in the same state as the reference bodies,
-    on independent sets and on arbitrary vertex sets."""
+    """_maximalize and _swap_pass return the same mask and leave the generator
+    in the same state as the reference bodies, on independent sets and on
+    arbitrary vertex sets."""
     nb = twopack.mis._adjacency_masks(as_square(gnp_graph(n, p, seed)))
     picker = Random(pick_seed)
     sol = 0
@@ -219,12 +232,8 @@ def test_local_search_matches_reference(n, p, seed, pick_seed, density, independ
         n, nb, sol, want_rng
     )
     assert got_rng.getstate() == want_rng.getstate()
-    got_calls: list[tuple[int, int]] = []
-    want_calls: list[tuple[int, int]] = []
-    got = twopack.mis._swap_pass(nb, sol, got_rng, lambda b, a: got_calls.append((b, a)))
-    want = reference_swap_pass(n, nb, sol, want_rng, lambda b, a: want_calls.append((b, a)))
-    assert got == want
-    assert got_calls == want_calls
+    got = twopack.mis._swap_pass(nb, sol, got_rng)
+    assert got == reference_swap_pass(n, nb, sol, want_rng)
     assert got_rng.getstate() == want_rng.getstate()
 
 
@@ -504,17 +513,14 @@ class TestHeuristic:
         g = gnp_graph(14, 0.25, 123)
         sq = square(TwoLevelGraph(g))
         adj = [set(sq.adjacency[v]) for v in range(sq.n)]
-        accepted = 0
-
-        def observer(before: int, after: int) -> None:
-            nonlocal accepted
-            accepted += 1
+        with recorded_swaps() as swaps:
+            heuristic_mis(sq, Deadline(seconds=2.0, max_nodes=25), seed=1)
+        assert swaps
+        for before, after in swaps:
             assert after.bit_count() == before.bit_count() + 1
             chosen = {v for v in range(sq.n) if after >> v & 1}
             for v in chosen:
                 assert not adj[v] & chosen
-        heuristic_mis(sq, Deadline(seconds=2.0, max_nodes=25), seed=1, _swap_observer=observer)
-        assert accepted >= 1
 
     @pytest.mark.parametrize("name", sorted(PINNED_ILS))
     def test_search_is_pinned(self, name):
@@ -522,12 +528,7 @@ class TestHeuristic:
         those of the reference build: the local search follows the same
         trajectory, drawing the same random numbers."""
         make, max_nodes, pinned, digest = PINNED_ILS[name]
-        calls: list[tuple[int, int]] = []
-        res = heuristic_mis(
-            make(),
-            Deadline(seconds=600.0, max_nodes=max_nodes),
-            seed=1,
-            _swap_observer=lambda before, after: calls.append((before, after)),
-        )
+        with recorded_swaps() as swaps:
+            res = heuristic_mis(make(), Deadline(seconds=600.0, max_nodes=max_nodes), seed=1)
         assert (res.size, res.nodes_explored, sorted(res.vertices)) == pinned
-        assert hashlib.sha1(repr(calls).encode()).hexdigest() == digest
+        assert hashlib.sha1(repr(swaps).encode()).hexdigest() == digest

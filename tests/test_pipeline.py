@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from twopack import (
@@ -206,3 +209,29 @@ def test_package_exports_resolve_once():
     assert len(twopack.__all__) == len(set(twopack.__all__))
     missing = [name for name in twopack.__all__ if not hasattr(twopack, name)]
     assert missing == []
+
+
+# Exported on purpose although nothing but tests calls them: the suite checks
+# the solver against these brute-force oracles.
+TEST_ONLY_EXPORTS = {"brute_alpha", "brute_beta"}
+
+
+def test_package_exports_have_a_caller():
+    """Every exported name is read somewhere outside the tests: in another
+    package module, the benchmark or a script."""
+    import twopack
+
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in (root / "src" / "twopack").glob("*.py") if p.name != "__init__.py"]
+    files += [*(root / "perfbench").glob("*.py"), *(root / "scripts").glob("*.py")]
+    used: set[str] = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = sorted(set(twopack.__all__) - used - TEST_ONLY_EXPORTS)
+    assert unused == []
