@@ -62,10 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--time-limit", type=float, default=600.0, metavar="SECONDS")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP)
-    parser.add_argument("--output", help="write the solution, one vertex ID per line")
     parser.add_argument("--stats", choices=["table", "csv"], default="table")
     parser.add_argument("--verify", action="store_true", help="re-check the solution")
-    parser.add_argument(
+    # --kernel-only writes no solution, so --output with it is a usage error.
+    result = parser.add_mutually_exclusive_group()
+    result.add_argument("--output", help="write the solution, one vertex ID per line")
+    result.add_argument(
         "--kernel-only", action="store_true", help="emit kernel statistics and stop"
     )
     return parser

@@ -15,7 +15,7 @@ clock, runs are bit-identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from random import Random
 
@@ -28,12 +28,10 @@ class Deadline:
 
     The solvers read the clock at every branch-and-bound node or local-search
     iteration, so past their warm start they overrun ``seconds`` by at most
-    one node or iteration.  The warm start (a greedy maximal set taken to a
-    local optimum) never reads the clock and runs to completion however
-    little budget is left; with none left at the call (``seconds <= 0``)
-    both solvers skip it and return a first-fit maximal set, unproven,
-    unless the square is empty: its empty answer is proven whatever the budget.
-    ``max_nodes`` bounds the search in nodes for reproducible runs.
+    one node or iteration.  ``heuristic_mis`` states what the warm start does
+    and what a call with no budget left returns; ``exact_mis`` starts from
+    that answer, so both rules hold for both solvers.  ``max_nodes`` bounds
+    the search in nodes (local-search iterations) for reproducible runs.
     """
 
     seconds: float
@@ -76,7 +74,7 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(_bits(mask))
 
 
-# -- construction and local search (shared by both solvers) -------------------
+# -- construction and local search ---------------------------------------------
 
 
 def _greedy_maximal(n: int, nb: list[int], rng: Random) -> int:
@@ -177,9 +175,12 @@ def heuristic_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResu
     same answer, iterations and accepted swaps.
 
     Always returns a maximal independent set; optimality is only claimed in
-    the trivial edgeless case.  With no budget left at the call
-    (``deadline.seconds <= 0``) that set is a first-fit one, unproven, as in
-    ``exact_mis``; an empty square is proven first, whatever the budget.
+    the trivial edgeless case.  The warm start, one greedy maximal set taken
+    to a local optimum, never reads the clock and runs to completion however
+    little budget is left.  With none left at the call
+    (``deadline.seconds <= 0``) it is skipped and the answer is a first-fit
+    maximal set, unproven; an empty square is proven first, whatever the
+    budget.
     """
     start = time.perf_counter()
     n = sq.n
@@ -276,35 +277,29 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
     Otherwise it branches on a vertex outside the first ``best - size``
     cliques, the one with the most alive neighbours (lowest cover rank on
     ties), as MCS does (Tomita et al., WALCOM 2010).  The initial incumbent
-    is one greedy maximal set taken to a (1,2)-swap local optimum, without
-    the iterated search, on the square's own labels.  The search then runs on
-    vertices renumbered once in cover order, ``(degree, index)`` ascending,
-    so each clique of the cover is built a class at a time; the answer is
-    mapped back.  ``nodes_explored`` counts the nodes that passed the clock
-    and node-budget checks, so a node-budget abort reports exactly
-    ``deadline.max_nodes``.  When the deadline expires the best solution
-    found so far is returned unproven; with no budget left at the call
-    (``deadline.seconds <= 0``) that is a first-fit maximal independent set,
-    except on an empty square, which is proven whatever the budget.
+    is the answer of ``heuristic_mis`` with no iterations (``max_nodes=0``),
+    under its warm-start and spent-budget rules; when that answer is proven
+    (an empty or edgeless square) or no budget is left, it is returned as it
+    is.  The search then runs on vertices renumbered once in cover order,
+    ``(degree, index)`` ascending, so each clique of the cover is built a
+    class at a time; the answer is mapped back.  ``nodes_explored`` counts
+    the nodes that passed the clock and node-budget checks, so a node-budget
+    abort reports exactly ``deadline.max_nodes``.  When the deadline expires
+    the best solution found so far is returned unproven.
     """
     start = time.perf_counter()
-    n = sq.n
-    if n == 0:
-        return MisResult(frozenset(), 0, True, 0, time.perf_counter() - start, 0.0)
-    if deadline.seconds <= 0:
-        return _first_fit(sq, start)
-    nb = _adjacency_masks(sq)
-    rng = Random(seed)
-    warm = _local_optimum(n, nb, _greedy_maximal(n, nb, rng), rng)
-    best = warm.bit_count()
-    time_to_best = time.perf_counter() - start
+    warm = heuristic_mis(sq, replace(deadline, max_nodes=0), seed)
+    if warm.proven_optimal or deadline.seconds <= 0:
+        return warm
+    best = warm.size
+    time_to_best = warm.time_to_best
 
-    # From here on, nb and every mask are in cover ranks.
+    # From here on, every mask is in cover ranks.
     order, rank, nb = _cover_ordered_masks(sq)
     best_mask = 0
-    for v in _bits(warm):
+    for v in warm.vertices:
         best_mask |= 1 << rank[v]
-    full = (1 << n) - 1
+    full = (1 << sq.n) - 1
     t_end = start + deadline.seconds
     stack: list[tuple[int, int]] = [(full, 0)]
     nodes = 0

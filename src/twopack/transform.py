@@ -60,7 +60,7 @@ def square(g: TwoLevelGraph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> SquareGraph
     """
     active = g.active_vertices()
     dense = {orig: i for i, orig in enumerate(active)}
-    adjacency: list[tuple[int, ...]] = []
+    rows: list[list[int]] = []
     directed = 0
     # Read in place (see TwoLevelGraph): every row belongs to an active vertex.
     one, two, materialized = g._one, g._two, g._materialized
@@ -71,10 +71,5 @@ def square(g: TwoLevelGraph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> SquareGraph
         directed += len(merged)
         if directed // 2 > edge_cap:
             raise EdgeCapExceeded(directed // 2, edge_cap)
-        adjacency.append(tuple(sorted(dense[w] for w in merged)))
-    return SquareGraph(
-        n=len(active),
-        adjacency=tuple(adjacency),
-        m=directed // 2,
-        to_original=tuple(active),
-    )
+        rows.append([dense[w] for w in merged])
+    return SquareGraph.from_adjacency(rows, active)

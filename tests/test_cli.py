@@ -170,6 +170,16 @@ class TestExitCodes:
         assert code == 1
         assert "usage error" in err and out == ""
 
+    def test_kernel_only_with_output_is_one(self, capsys, p4_file, tmp_path):
+        # --kernel-only writes no solution, so --output is refused, not ignored.
+        out_file = tmp_path / "sol.txt"
+        code, out, err = run_cli(
+            capsys, "--input", str(p4_file), "--kernel-only", "--output", str(out_file),
+        )
+        assert code == 1
+        assert "usage error" in err and "--kernel-only" in err and out == ""
+        assert not out_file.exists()
+
     def test_timeout_is_two(self, capsys, tmp_path):
         path = tmp_path / "c6.graph"
         path.write_text(write_metis(cycle_graph(6)))

@@ -324,17 +324,31 @@ def test_exact_answer_is_in_square_labels(n, p, seed, max_nodes, squared):
     assert res.vertices <= set(range(sq.n))
     assert res.size == len(res.vertices)
     assert_independent(sq, res.vertices)
-    nb = twopack.mis._adjacency_masks(sq)
-    rng = Random(seed)
-    warm = twopack.mis._local_optimum(sq.n, nb, twopack.mis._greedy_maximal(sq.n, nb, rng), rng)
-    if res.size == warm.bit_count():
+    warm = heuristic_mis(sq, Deadline(seconds=30.0, max_nodes=0), seed=seed)
+    if res.size == warm.size:
         assert_maximal(sq, res.vertices)
     else:
-        assert res.size > warm.bit_count()
+        assert res.size > warm.size
     if not res.proven_optimal:
         assert res.nodes_explored == max_nodes
     elif sq.n <= 20:
         assert res.size == brute_alpha(sq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 40),
+    st.sampled_from([0.0, 0.1, 0.2, 0.4]),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+def test_exact_warm_start_is_the_local_search_first_optimum(n, p, seed, squared):
+    """With no nodes to spend, exact mode answers with the incumbent it
+    branches from: the local search's answer before its first iteration."""
+    g = gnp_graph(n, p, seed)
+    sq = square(TwoLevelGraph(g)) if squared else as_square(g)
+    budget = Deadline(seconds=30.0, max_nodes=0)
+    assert exact_mis(sq, budget, seed=seed).vertices == heuristic_mis(sq, budget, seed=seed).vertices
 
 
 @pytest.mark.parametrize("solver", [exact_mis, heuristic_mis])

@@ -97,14 +97,16 @@ class TestSolve:
         sol = solve_m2s(path_graph(4), SolverConfig(mode=SolverMode.HEURISTIC))
         assert sol.proven_optimal and sol.size == 2
 
+    @pytest.mark.parametrize("max_nodes", [0, 10])
     @pytest.mark.parametrize("mode", list(SolverMode))
-    def test_edgeless_square_is_proven(self, mode):
+    def test_edgeless_square_is_proven(self, mode, max_nodes):
         # Without reductions the square keeps all three vertices and no edge:
-        # both back ends take every vertex and the pipeline keeps their proof.
+        # the local search's first optimum takes every vertex, which proves
+        # it, so neither mode spends a node and the pipeline keeps the proof.
         g = StaticGraph.from_edges(3, [])
-        cfg = SolverConfig(variant=ReductionVariant.TWO_PACK, mode=mode, max_nodes=10)
+        cfg = SolverConfig(variant=ReductionVariant.TWO_PACK, mode=mode, max_nodes=max_nodes)
         sol = solve_m2s(g, cfg)
-        assert (sol.size, sol.proven_optimal) == (3, True)
+        assert (sol.size, sol.proven_optimal, sol.mis_nodes) == (3, True, 0)
         assert (sol.kernel.n_square, sol.kernel.m_square) == (3, 0)
         assert sol.time_to_proof is not None
 
