@@ -17,7 +17,6 @@ from .mis import Deadline, MisResult, exact_mis, heuristic_mis
 from .oracle import OracleLimitError, brute_alpha, brute_beta, brute_square
 from .pipeline import (
     MemoryCapError,
-    PhaseTimings,
     Solution,
     SolverConfig,
     SolverMode,
@@ -57,7 +56,6 @@ __all__ = [
     "MisResult",
     "OracleLimitError",
     "ParseError",
-    "PhaseTimings",
     "ReductionKind",
     "ReductionLog",
     "ReductionVariant",

@@ -7,7 +7,8 @@ incumbent, and an iterated (1,2)-swap local search.  The local search works
 on whole masks: one pass over the solution builds the cover masks (vertices
 with at least one and at least two solution neighbours), the 1-tight
 vertices are those covered once, and a member's swap candidates are its
-neighbourhood ANDed with them.
+neighbourhood ANDed with them.  Both start from one maximal set, built by
+first fit in ascending degree order and taken to a local optimum.
 All randomness flows from a single seed; with a node budget instead of a wall
 clock, runs are bit-identical.
 """
@@ -27,11 +28,13 @@ class Deadline:
     """Cooperative stopping rule: a wall-clock budget and an optional node budget.
 
     The solvers read the clock at every branch-and-bound node or local-search
-    iteration, so past their warm start they overrun ``seconds`` by at most
-    one node or iteration.  ``heuristic_mis`` states what the warm start does
-    and what a call with no budget left returns; ``exact_mis`` starts from
-    that answer, so both rules hold for both solvers.  ``max_nodes`` bounds
-    the search in nodes (local-search iterations) for reproducible runs.
+    iteration, so past their warm start (first fit in ascending degree order,
+    O(n log n + m), then one local optimum) they overrun ``seconds`` by at
+    most one node or iteration.  ``heuristic_mis`` states what the warm
+    start does and what a call with no budget left returns; ``exact_mis``
+    starts from that answer, so both rules hold for both solvers.
+    ``max_nodes`` bounds the search in nodes (local-search iterations) for
+    reproducible runs.
     """
 
     seconds: float
@@ -77,42 +80,24 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 # -- construction and local search ---------------------------------------------
 
 
-def _greedy_maximal(n: int, nb: list[int], rng: Random) -> int:
-    """Maximal independent set by repeated minimum-residual-degree choice."""
-    alive = (1 << n) - 1
-    sol = 0
-    while alive:
-        best_d = n + 1
-        ties: list[int] = []
-        a = alive
-        while a:
-            low = a & -a
-            a ^= low
-            v = low.bit_length() - 1
-            d = (nb[v] & alive).bit_count()
-            if d < best_d:
-                best_d = d
-                ties = [v]
-            elif d == best_d:
-                ties.append(v)
-        v = ties[0] if len(ties) == 1 else rng.choice(ties)
-        sol |= 1 << v
-        alive &= ~(nb[v] | (1 << v))
-    return sol
+def _cover_order(sq: SquareGraph) -> list[int]:
+    """The square's vertices in cover order, ``(degree, index)`` ascending."""
+    adjacency = sq.adjacency
+    return sorted(range(sq.n), key=lambda v: (len(adjacency[v]), v))
 
 
-def _first_fit(sq: SquareGraph, start: float) -> MisResult:
-    """The answer with no budget left: a maximal independent set in ascending
-    vertex order, in O(n + m), unproven and with no nodes explored."""
+def _first_fit(sq: SquareGraph) -> list[int]:
+    """Maximal independent set by first fit in ascending degree order: each
+    vertex, in cover order, joins unless a neighbour already has.  O(n log n +
+    m) and no randomness."""
     blocked = [False] * sq.n
     chosen = []
-    for v, row in enumerate(sq.adjacency):
+    for v in _cover_order(sq):
         if not blocked[v]:
             chosen.append(v)
-            for w in row:
+            for w in sq.adjacency[v]:
                 blocked[w] = True
-    elapsed = time.perf_counter() - start
-    return MisResult(frozenset(chosen), len(chosen), False, 0, elapsed, elapsed)
+    return chosen
 
 
 def _maximalize(n: int, nb: list[int], sol: int, rng: Random) -> int:
@@ -175,22 +160,26 @@ def heuristic_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResu
     same answer, iterations and accepted swaps.
 
     Always returns a maximal independent set; optimality is only claimed in
-    the trivial edgeless case.  The warm start, one greedy maximal set taken
-    to a local optimum, never reads the clock and runs to completion however
-    little budget is left.  With none left at the call
-    (``deadline.seconds <= 0``) it is skipped and the answer is a first-fit
-    maximal set, unproven; an empty square is proven first, whatever the
+    the trivial edgeless case.  The warm start, first fit in ascending degree
+    order taken to a local optimum, never reads the clock and runs to
+    completion however little budget is left.  With none left at the call
+    (``deadline.seconds <= 0``) the answer is that first fit itself, with no
+    local search, unproven; an empty square is proven first, whatever the
     budget.
     """
     start = time.perf_counter()
     n = sq.n
     if n == 0:
         return MisResult(frozenset(), 0, True, 0, time.perf_counter() - start, 0.0)
+    chosen = _first_fit(sq)
     if deadline.seconds <= 0:
-        return _first_fit(sq, start)
+        elapsed = time.perf_counter() - start
+        return MisResult(frozenset(chosen), len(chosen), False, 0, elapsed, elapsed)
     rng = Random(seed)
     nb = _adjacency_masks(sq)
-    sol = _greedy_maximal(n, nb, rng)
+    sol = 0
+    for v in chosen:
+        sol |= 1 << v
     sol = _local_optimum(n, nb, sol, rng)
     best = sol
     best_size = best.bit_count()
@@ -233,7 +222,7 @@ def _cover_ordered_masks(sq: SquareGraph) -> tuple[list[int], list[int], list[in
     ascending: ``order[r]`` is the vertex of rank ``r``, ``rank[v]`` the rank
     of vertex ``v``, and ``nb[r]`` the mask of rank ``r``'s neighbours' ranks."""
     adjacency = sq.adjacency
-    order = sorted(range(sq.n), key=lambda v: (len(adjacency[v]), v))
+    order = _cover_order(sq)
     rank = [0] * sq.n
     for r, v in enumerate(order):
         rank[v] = r
@@ -277,8 +266,9 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
     Otherwise it branches on a vertex outside the first ``best - size``
     cliques, the one with the most alive neighbours (lowest cover rank on
     ties), as MCS does (Tomita et al., WALCOM 2010).  The initial incumbent
-    is the answer of ``heuristic_mis`` with no iterations (``max_nodes=0``),
-    under its warm-start and spent-budget rules; when that answer is proven
+    is the answer of ``heuristic_mis`` with no iterations (``max_nodes=0``):
+    first fit in ascending degree order taken to a local optimum, or that
+    first fit alone when no budget is left; when that answer is proven
     (an empty or edgeless square) or no budget is left, it is returned as it
     is.  The search then runs on vertices renumbered once in cover order,
     ``(degree, index)`` ascending, so each clique of the cover is built a

@@ -43,16 +43,12 @@ class SolverConfig:
             raise ValueError("time_limit must be positive")
         if self.max_nodes is not None and self.max_nodes < 0:
             raise ValueError("max_nodes must be non-negative")
+        # The local search stops only at a budget, so with neither it never returns.
+        unbounded = self.time_limit == float("inf") and self.max_nodes is None
+        if self.mode is SolverMode.HEURISTIC and unbounded:
+            raise ValueError("heuristic mode needs a finite time_limit or max_nodes")
         if self.edge_cap <= 0:
             raise ValueError("edge_cap must be positive")
-
-
-@dataclass
-class PhaseTimings:
-    reduce: float
-    transform: float
-    solve: float
-    total: float
 
 
 @dataclass
@@ -61,7 +57,6 @@ class Solution:
     size: int
     proven_optimal: bool
     kernel: KernelReport
-    timings: PhaseTimings
     time_to_best: float
     time_to_proof: float | None
     mis_nodes: int = 0
@@ -127,32 +122,24 @@ def solve_m2s(g: StaticGraph, cfg: SolverConfig) -> Solution:
     """
     t0 = time.perf_counter()
     kernel = reduce(g, cfg.variant)
-    t_reduce = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
     sq = square_kernel(kernel, cfg.edge_cap)
-    t_transform = time.perf_counter() - t1
 
-    remaining = cfg.time_limit - (time.perf_counter() - t0)
-    deadline = Deadline(seconds=remaining, max_nodes=cfg.max_nodes)
-    t2 = time.perf_counter()
+    setup = time.perf_counter() - t0
+    deadline = Deadline(seconds=cfg.time_limit - setup, max_nodes=cfg.max_nodes)
     if cfg.mode is SolverMode.EXACT:
         result = exact_mis(sq, deadline, seed=cfg.seed)
     else:
         result = heuristic_mis(sq, deadline, seed=cfg.seed)
-    t_solve = time.perf_counter() - t2
 
     vertices = frozenset(reconstruct(kernel.log, sq.original_ids(result.vertices)))
     proven = result.proven_optimal
     total = time.perf_counter() - t0
-    timings = PhaseTimings(reduce=t_reduce, transform=t_transform, solve=t_solve, total=total)
     solution = Solution(
         vertices=vertices,
         size=len(vertices),
         proven_optimal=proven,
         kernel=kernel.report,
-        timings=timings,
-        time_to_best=t_reduce + t_transform + result.time_to_best,
+        time_to_best=setup + result.time_to_best,
         time_to_proof=total if proven else None,
         mis_nodes=result.nodes_explored,
     )

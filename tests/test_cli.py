@@ -157,6 +157,13 @@ class TestExitCodes:
         assert code == 1
         assert "usage error" in err and out == ""
 
+    def test_heuristic_without_time_limit_is_one(self, capsys, p4_file):
+        code, out, err = run_cli(
+            capsys, "--input", str(p4_file), "--solver", "heuristic", "--time-limit", "inf",
+        )
+        assert code == 1
+        assert "usage error" in err and "heuristic mode" in err and out == ""
+
     @pytest.mark.parametrize(
         "bad",
         [("--edge-cap", "-5"), ("--edge-cap", "0"), ("--time-limit", "0"), ("--time-limit", "nan")],

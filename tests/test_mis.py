@@ -62,9 +62,10 @@ def kernel_square(g: StaticGraph) -> SquareGraph:
 # name -> (square, max_nodes, (size, nodes_explored, sorted vertices)) of
 # exact_mis with seed 1, recorded with branching restricted to the cliques past
 # the first best - size of the cover, with a node counted only once it passes
-# the clock and budget checks, and with the search on cover-ordered labels and
-# no in-node domination pass.  The two "abort" searches stop at the node
-# budget; the others finish with a proof.
+# the clock and budget checks, with the search on cover-ordered labels and no
+# in-node domination pass, and with the warm start built by first fit in
+# ascending degree order.  The two "abort" searches stop at the node budget;
+# the others finish with a proof.
 PINNED_SEARCHES = {
     "gnp-square": (
         lambda: square(TwoLevelGraph(gnp_graph(150, 0.025, 17))),
@@ -76,29 +77,29 @@ PINNED_SEARCHES = {
     "gnp-square-abort": (
         lambda: square(TwoLevelGraph(gnp_graph(120, 0.035, 3))),
         150,
-        (25, 150, [3, 8, 10, 31, 32, 37, 38, 43, 46, 49, 50, 54, 58, 59, 63, 67, 69, 81,
-                   86, 95, 101, 103, 105, 117, 118]),
+        (26, 150, [10, 11, 19, 26, 43, 46, 49, 50, 54, 58, 59, 60, 67, 68, 69, 70, 71,
+                   73, 82, 95, 103, 105, 108, 110, 118, 119]),
     ),
     "gnp-kernel": (
         lambda: kernel_square(gnp_graph(100, 0.04, 9)),
         2000,
-        (15, 5, [2, 3, 5, 6, 10, 11, 15, 17, 21, 26, 33, 36, 37, 48, 52]),
+        (15, 5, [5, 6, 10, 11, 17, 21, 22, 23, 26, 29, 37, 38, 42, 45, 48]),
     ),
     "pa-kernel-60": (
         lambda: kernel_square(preferential_attachment(60, 3, 5)),
         2000,
-        (8, 17, [12, 22, 25, 29, 32, 33, 34, 42]),
+        (8, 17, [19, 22, 25, 28, 29, 32, 34, 43]),
     ),
     "pa-kernel-90": (
         lambda: kernel_square(preferential_attachment(90, 3, 1)),
         2000,
-        (11, 173, [1, 11, 13, 23, 38, 45, 50, 55, 63, 64, 66]),
+        (11, 173, [29, 38, 45, 46, 47, 50, 55, 59, 63, 64, 66]),
     ),
     "pa-kernel-150-abort": (
         lambda: kernel_square(preferential_attachment(150, 3, 2)),
         20,
-        (20, 20, [20, 32, 49, 76, 96, 98, 99, 100, 102, 103, 109, 110, 111, 117, 119, 120,
-                  125, 136, 137, 138]),
+        (20, 20, [20, 74, 76, 82, 96, 98, 99, 102, 109, 110, 117, 119, 122, 123, 125,
+                  128, 132, 136, 137, 138]),
     ),
 }
 
@@ -106,50 +107,51 @@ PINNED_SEARCHES = {
 # name -> (square, max_nodes, (size, nodes_explored, sorted vertices), SHA-1 of
 # the (before, after) masks of every accepted swap, as ``recorded_swaps``
 # lists them) of heuristic_mis with seed 1, recorded with the local search
-# that rescanned every member's neighbours.
+# that rescanned every member's neighbours and the warm start built by first
+# fit in ascending degree order.
 PINNED_ILS = {
     "gnp-square": (
         lambda: square(TwoLevelGraph(gnp_graph(150, 0.025, 17))),
         60,
-        (39, 60, [4, 10, 15, 16, 18, 21, 26, 27, 28, 32, 35, 44, 53, 63, 64, 67, 69, 75, 77,
-                  80, 83, 84, 87, 89, 91, 104, 107, 111, 112, 115, 116, 123, 125, 128, 132,
-                  135, 141, 143, 147]),
-        "4402934119276168696d8a116832e68480239b47",
+        (39, 60, [10, 18, 20, 21, 23, 27, 28, 34, 35, 37, 38, 41, 44, 46, 54, 60, 64,
+                  67, 68, 69, 75, 83, 87, 89, 91, 92, 102, 104, 107, 111, 112, 115, 116,
+                  123, 125, 128, 135, 141, 143]),
+        "5403e08d1034763154c36a34a1ff1680c0069720",
     ),
     "gnp-square-dense": (
         lambda: square(TwoLevelGraph(gnp_graph(120, 0.05, 3))),
         60,
-        (20, 60, [3, 6, 10, 22, 49, 50, 59, 69, 80, 81, 82, 84, 86, 95, 103, 105, 110, 112,
-                  117, 118]),
-        "8ec09aa228fbb8340478d4981db79d1c19ebd2f1",
+        (20, 60, [3, 6, 10, 38, 49, 50, 57, 59, 60, 69, 80, 81, 82, 92, 95, 103, 112,
+                  116, 117, 118]),
+        "f90efe5b1a72c4664349bc6120bddaa0a30a95f6",
     ),
     "gnp-kernel": (
         lambda: kernel_square(gnp_graph(200, 0.03, 9)),
         60,
-        (27, 60, [2, 10, 25, 28, 34, 41, 46, 51, 53, 65, 69, 71, 78, 90, 93, 105, 120, 121,
-                  125, 128, 132, 136, 144, 145, 154, 163, 175]),
-        "38bf7b09b4fb541ba79dda4f1615d9116cdd70c1",
+        (27, 60, [5, 9, 21, 25, 28, 50, 51, 65, 68, 69, 77, 78, 79, 85, 90, 96, 109,
+                  113, 120, 125, 126, 128, 132, 144, 145, 163, 175]),
+        "b33c780ead7afe99362809b2f8f03ce3c2662d55",
     ),
     "pa-kernel-90": (
         lambda: kernel_square(preferential_attachment(90, 3, 1)),
         60,
-        (11, 60, [1, 11, 13, 23, 38, 45, 50, 55, 63, 64, 66]),
-        "ed5c516d312b52b151e23dd93f3dce23bd82bfd9",
+        (11, 60, [29, 38, 45, 46, 47, 50, 55, 59, 63, 64, 66]),
+        "4e47085e9970b37e3c93167770e185063a30f77d",
     ),
     "pa-kernel-150": (
         lambda: kernel_square(preferential_attachment(150, 3, 2)),
         60,
-        (20, 60, [20, 32, 49, 76, 96, 98, 99, 100, 102, 103, 109, 110, 111, 117, 119, 120,
-                  125, 136, 137, 138]),
-        "e9dbcae66d6d515b8079c75b007e4dba7aafd661",
+        (21, 60, [46, 53, 60, 74, 78, 83, 96, 98, 99, 103, 108, 109, 110, 117, 118, 119,
+                  124, 125, 128, 136, 138]),
+        "9dc7dc08b9ecc0ecf942b450528b3986cdf62875",
     ),
     "geometric-kernel": (
         lambda: kernel_square(random_geometric(500, 0.08, 11)),
         60,
-        (39, 60, [3, 7, 8, 9, 13, 14, 15, 30, 31, 32, 37, 41, 42, 44, 61, 65, 67, 68, 72, 73,
-                  77, 78, 82, 98, 101, 102, 103, 104, 105, 113, 118, 124, 130, 134, 138, 146,
-                  148, 151, 163]),
-        "1290d4fb6e4cd32f855c132b8d0e75e39ca64dd0",
+        (39, 60, [3, 7, 8, 10, 13, 14, 15, 16, 17, 18, 19, 24, 31, 32, 37, 38, 42, 44,
+                  49, 50, 60, 61, 62, 65, 67, 72, 75, 77, 78, 82, 92, 94, 98, 101, 102,
+                  113, 115, 141, 145]),
+        "0317079328db4c4951d46ce35273ba07bd7e6b7c",
     ),
 }
 
@@ -351,6 +353,64 @@ def test_exact_warm_start_is_the_local_search_first_optimum(n, p, seed, squared)
     assert exact_mis(sq, budget, seed=seed).vertices == heuristic_mis(sq, budget, seed=seed).vertices
 
 
+# -- first fit: the warm start and the spent-budget answer -----------------------
+
+
+def reference_first_fit(sq: SquareGraph) -> list[int]:
+    """Reference _first_fit: sort by ``(degree, index)``, then add each vertex
+    that has no chosen neighbour yet."""
+    chosen: list[int] = []
+    for v in sorted(range(sq.n), key=lambda v: (len(sq.adjacency[v]), v)):
+        if not set(sq.adjacency[v]) & set(chosen):
+            chosen.append(v)
+    return chosen
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 40),
+    st.sampled_from([0.0, 0.1, 0.2, 0.4]),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+def test_first_fit_matches_reference(n, p, seed, squared):
+    g = gnp_graph(n, p, seed)
+    sq = square(TwoLevelGraph(g)) if squared else as_square(g)
+    chosen = twopack.mis._first_fit(sq)
+    assert chosen == reference_first_fit(sq)
+    assert_independent(sq, chosen)
+    assert_maximal(sq, chosen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.sampled_from([0.0, 0.1, 0.2, 0.4]),
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_spent_budget_answer_is_first_fit(n, p, graph_seed, squared, seed):
+    """With no budget left, both back ends return the first fit itself,
+    unproven and with no nodes, whatever the seed."""
+    g = gnp_graph(n, p, graph_seed)
+    sq = square(TwoLevelGraph(g)) if squared else as_square(g)
+    want = frozenset(twopack.mis._first_fit(sq))
+    for solver in (exact_mis, heuristic_mis):
+        res = solver(sq, Deadline(seconds=0.0), seed=seed)
+        assert (res.vertices, res.size, res.proven_optimal, res.nodes_explored) == (
+            want, len(want), False, 0
+        )
+
+
+@pytest.mark.parametrize("solver", [exact_mis, heuristic_mis])
+def test_spent_budget_answer_size_is_pinned(solver):
+    """On a hub-heavy kernel square (optimum 21), ascending degree order keeps
+    19 vertices where ascending ID order would keep 9."""
+    sq = kernel_square(preferential_attachment(150, 3, 2))
+    assert solver(sq, Deadline(seconds=0.0), seed=1).size == 19
+
+
 @pytest.mark.parametrize("solver", [exact_mis, heuristic_mis])
 @pytest.mark.parametrize("seconds", [0.0, -1.0])
 def test_empty_square_is_proven_without_budget(solver, seconds):
@@ -455,7 +515,7 @@ class TestExact:
         ]
         assert all(res.proven_optimal for res in results)
         assert [res.size for res in results] == [11, 9, 13, 11, 10, 11, 11, 10, 12, 10]
-        assert sum(res.nodes_explored for res in results) == 536
+        assert sum(res.nodes_explored for res in results) == 546
 
     @pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
     def test_search_is_pinned(self, name):
@@ -478,10 +538,10 @@ class TestHeuristic:
         assert res.size == 4 and res.proven_optimal
 
     def test_nonpositive_deadline_returns_maximal_unproven(self, monkeypatch):
-        def no_warm_start(*args):
-            raise AssertionError("warm start run with no budget left")
+        def no_local_search(*args):
+            raise AssertionError("local search run with no budget left")
 
-        monkeypatch.setattr(twopack.mis, "_greedy_maximal", no_warm_start)
+        monkeypatch.setattr(twopack.mis, "_local_optimum", no_local_search)
         sq = square(TwoLevelGraph(gnp_graph(40, 0.08, 3)))
         for seconds in (0.0, -1.0):
             res = heuristic_mis(sq, Deadline(seconds=seconds))
