@@ -1,10 +1,11 @@
 """Static input graphs and the mutable two-level graph used by the reduction engine.
 
-The two-level graph keeps ordinary edges and distance-two conflict edges in
-separate per-vertex adjacency sets.  Removing a vertex re-wires conflict
-edges among its surviving neighbors, so the conflict relation of the
-remaining vertices always matches shortest-path distance <= 2 in the
-original graph.  Distance-two neighborhoods are materialized lazily.
+The two-level graph keeps, per vertex, its edges and its closed conflict set:
+the vertex, its neighbors and its recorded distance-two conflict partners.
+Removing a vertex re-wires conflict edges among its surviving neighbors, so
+the conflict relation of the remaining vertices always matches shortest-path
+distance <= 2 in the original graph.  Distance-two neighborhoods are
+materialized lazily.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class StaticGraph:
 
 
 class TwoLevelGraph:
-    """Mutable reduction-phase graph with separate edge and conflict-edge sets.
+    """Mutable reduction-phase graph: edges plus closed conflict sets.
 
     Every vertex starts active.  ``remove_vertex`` deactivates a vertex and
     inserts a conflict edge between each pair of its surviving neighbors, so
@@ -115,17 +116,18 @@ class TwoLevelGraph:
     ``materialize_two_neighborhood(v)``.
 
     The reduction rules in ``reductions`` run millions of probes, so they
-    skip those checks and copies: they read ``_one[v]`` (edges), ``_two[v]``
-    (recorded conflict edges) and ``_materialized[v]`` in place, only for
-    active ``v``, and never mutate them.  ``_two[v]`` is the whole
-    2-neighborhood only once ``v`` is materialized, so a rule calls
+    skip those checks and copies: they read ``_one[v]`` (edges),
+    ``_closed[v]`` (v, its neighbors and its recorded conflict partners) and
+    ``_materialized[v]`` in place, only for active ``v``, and never mutate
+    them.  ``_closed[v]`` is the whole closed conflict neighborhood C[v] only
+    once ``v`` is materialized, so a rule calls
     ``materialize_two_neighborhood`` first when it is not.
     """
 
     def __init__(self, static: StaticGraph):
         self.n = static.n
         self._one: list[set[int]] = [set(static.neighbors(v)) for v in range(static.n)]
-        self._two: list[set[int]] = [set() for _ in range(static.n)]
+        self._closed: list[set[int]] = [{v, *static.neighbors(v)} for v in range(static.n)]
         self._status: list[VertexStatus] = [VertexStatus.ACTIVE] * static.n
         self._materialized: list[bool] = [False] * static.n
         self._active = static.n
@@ -183,20 +185,20 @@ class TwoLevelGraph:
         graph.  Partner vertices receive the symmetric entries.  Idempotent.
         """
         self._require_active(v)
+        closed = self._closed[v]
         if not self._materialized[v]:
-            one_v = self._one[v]
-            found: set[int] = set()
-            for u in one_v:
-                found |= self._one[u]
-            found -= one_v
-            found.discard(v)
-            fresh = found - self._two[v]
+            fresh: set[int] = set()
+            for u in self._one[v]:
+                fresh |= self._one[u]
+            fresh -= closed
             for u in fresh:
-                self._two[u].add(v)
-            self._two[v] |= fresh
+                self._closed[u].add(v)
+            closed |= fresh
             self._m2 += len(fresh)
             self._materialized[v] = True
-        return set(self._two[v])
+        two = closed - self._one[v]
+        two.discard(v)
+        return two
 
     # -- mutation ------------------------------------------------------------
 
@@ -211,28 +213,26 @@ class TwoLevelGraph:
         if mark is VertexStatus.ACTIVE:
             raise GraphError("removal mark must be INCLUDED or EXCLUDED")
         nbrs = list(self._one[w])
+        closed_w = self._closed[w]
+        self._closed[w] = set()  # so the pass over closed_w skips w itself
         ball: set[int] | None = None
         if self.removal_listener is not None:
-            ball = set(nbrs) | self._two[w]
-            for x in nbrs:
-                ball |= self._one[x]
+            ball = closed_w.union(*[self._one[x] for x in nbrs])
             ball.discard(w)
         for x in nbrs:
             self._one[x].remove(w)
+        for x in closed_w:
+            self._closed[x].discard(w)
         self._m -= len(nbrs)
-        for x in self._two[w]:
-            self._two[x].remove(w)
-        self._m2 -= len(self._two[w])
+        self._m2 -= len(closed_w) - 1 - len(nbrs)
         for i, x in enumerate(nbrs):
-            one_x = self._one[x]
-            two_x = self._two[x]
+            closed_x = self._closed[x]
             for y in nbrs[i + 1 :]:
-                if y not in one_x and y not in two_x:
-                    two_x.add(y)
-                    self._two[y].add(x)
+                if y not in closed_x:
+                    closed_x.add(y)
+                    self._closed[y].add(x)
                     self._m2 += 1
         self._one[w] = set()
-        self._two[w] = set()
         self._materialized[w] = False
         self._status[w] = mark
         self._active -= 1

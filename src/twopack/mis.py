@@ -159,13 +159,16 @@ def heuristic_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResu
     ``deadline.max_nodes`` as the budget, a seeded run is bit-identical:
     same answer, iterations and accepted swaps.
 
-    Always returns a maximal independent set; optimality is only claimed in
-    the trivial edgeless case.  The warm start, first fit in ascending degree
-    order taken to a local optimum, never reads the clock and runs to
-    completion however little budget is left.  With none left at the call
-    (``deadline.seconds <= 0``) the answer is that first fit itself, with no
-    local search, unproven; an empty square is proven first, whatever the
-    budget.
+    Always returns a maximal independent set, proven optimal only when it
+    meets a bound: the vertex count, or, computed just before the first
+    iteration, the root clique cover of ``exact_mis``.  The search stops as
+    soon as its best meets the bound, so a call that runs no iteration
+    (``max_nodes=0`` or no time left) never builds the cover.  The warm
+    start, first fit in ascending degree order taken to a local optimum,
+    never reads the clock and runs to completion however little budget is
+    left.  With none left at the call (``deadline.seconds <= 0``) the answer
+    is that first fit itself, with no local search, unproven; an empty square
+    is proven first, whatever the budget.
     """
     start = time.perf_counter()
     n = sq.n
@@ -187,11 +190,17 @@ def heuristic_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResu
     t_end = start + deadline.seconds
     full = (1 << n) - 1
     iters = 0
-    while best_size < n:
+    bound = n
+    while best_size < bound:
         if deadline.max_nodes is not None and iters >= deadline.max_nodes:
             break
         if time.perf_counter() >= t_end:
             break
+        if iters == 0:
+            # Only a run that would iterate pays for the root cover bound.
+            bound = len(_clique_cover(full, _cover_ordered_masks(sq)[2]))
+            if best_size >= bound:
+                break
         iters += 1
         # Perturb: force one outside vertex in, then re-optimize.
         outside = _bits(full & ~sol)
@@ -207,7 +216,7 @@ def heuristic_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResu
     return MisResult(
         vertices=_mask_to_set(best),
         size=best_size,
-        proven_optimal=best_size == n,
+        proven_optimal=best_size == bound,
         nodes_explored=iters,
         elapsed=time.perf_counter() - start,
         time_to_best=time_to_best,

@@ -5,8 +5,9 @@ deadline; whatever remains of the time budget goes to the MIS phase.  An
 empty kernel takes the same path: its square is empty, which both MIS back
 ends prove at once whatever the budget, so the reductions alone prove it.
 Whether an answer is proven is decided in one place, the MIS back end: the
-pipeline passes its claim on unchanged, so heuristic mode claims a proof
-only for an empty or edgeless square.
+pipeline passes its claim on unchanged.  Heuristic mode claims a proof, and
+stops early, once its local search meets the square's root clique-cover
+bound; an empty or edgeless square meets it at once.
 """
 
 from __future__ import annotations

@@ -152,28 +152,28 @@ def _include(
         _exclude(g, log, rule, u)
 
 
-def _two_set(g: TwoLevelGraph, v: int) -> set[int]:
-    """The 2-neighborhood of active ``v``, materialized if need be, read in place."""
+def _closed_set(g: TwoLevelGraph, v: int) -> set[int]:
+    """C[v], the closed 2-neighborhood of active ``v``, materialized if need
+    be, read in place."""
     if not g._materialized[v]:
         g.materialize_two_neighborhood(v)
-    return g._two[v]
+    return g._closed[v]
 
 
 def _conflicts(g: TwoLevelGraph, x: int, y: int) -> bool:
     """Whether active x and y are at conflict distance <= 2: adjacent, joined
     by a recorded conflict edge, or sharing a neighbor.  Materializes nothing."""
-    one_x = g._one[x]
-    return y in one_x or y in g._two[x] or not one_x.isdisjoint(g._one[y])
+    return y in g._closed[x] or not g._one[x].isdisjoint(g._one[y])
 
 
 # -- the rules ---------------------------------------------------------------
 #
-# Rules read the graph's edge and conflict sets in place (see TwoLevelGraph):
-# they are only probed on active vertices, and every vertex they touch is an
-# active neighbor or 2-neighbor of one.  Which 2-neighborhoods a probe
-# materializes is part of a rule's behaviour, because it sets the kernel's
-# conflict-edge count: each rule materializes them as its predicate reaches
-# them, never ahead.
+# Rules read the graph's edge sets and closed conflict sets C[v] in place (see
+# TwoLevelGraph): they are only probed on active vertices, and every vertex
+# they touch lies in the closed conflict set of one.  Which 2-neighborhoods a
+# probe materializes is part of a rule's behaviour, because it sets the
+# kernel's conflict-edge count: each rule materializes them as its predicate
+# reaches them, never ahead.
 
 
 def try_domination(
@@ -199,37 +199,26 @@ def try_domination(
     candidate it skips, so the filtered probe returns the same vertex and
     materializes the same 2-neighborhoods as a full one.
     """
-    one, two, materialized = g._one, g._two, g._materialized
-    one_v = one[v]
-    two_v = _two_set(g, v)
-    size_v = len(one_v) + len(two_v) + 1
-    conflict_v = one_v | two_v
-    candidates = conflict_v if since is None else conflict_v - conflict_v.intersection(*since)
+    closed, materialized = g._closed, g._materialized
+    closed_v = _closed_set(g, v)
+    size_v = len(closed_v)
+    # v lies in every ball of ``since``, so only the full scan drops it by hand.
+    candidates = closed_v - {v} if since is None else closed_v - closed_v.intersection(*since)
     for u in sorted(candidates):
         if not materialized[u]:
             g.materialize_two_neighborhood(u)
-        one_u = one[u]
-        two_u = two[u]
-        size_u = len(one_u) + len(two_u) + 1
-        if size_u < size_v:
-            continue
-        # Conflicts are symmetric, so v is in N(u) or N2(u); the closed
-        # 2-neighborhood of v fits in u's iff every other conflict of v does.
-        # Plain neighbors of v first: they reject most candidates early.
-        for x in one_v:
-            if x != u and x not in one_u and x not in two_u:
-                break
-        else:
-            if len(conflict_v.difference(one_u, two_u)) == 1:
-                target = max(u, v) if size_u == size_v else u
-                _exclude(g, log, ReductionKind.DOMINATION, target)
-                return target
+        closed_u = closed[u]
+        # C[v] within C[u]; the size test rejects most candidates at once.
+        if len(closed_u) >= size_v and closed_v <= closed_u:
+            target = max(u, v) if len(closed_u) == size_v else u
+            _exclude(g, log, ReductionKind.DOMINATION, target)
+            return target
     return None
 
 
 def try_clique(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) -> Optional[int]:
     """Include v when its closed 2-neighborhood is pairwise in conflict."""
-    members = sorted(_two_set(g, v) | g._one[v])
+    members = sorted(_closed_set(g, v) - {v})
     for i, x in enumerate(members):
         for y in members[i + 1 :]:
             if not _conflicts(g, x, y):
@@ -242,10 +231,10 @@ def try_deg_zero(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) -
     """Include an edge-free vertex with at most one conflict neighbor."""
     if len(g._one[v]) != 0:
         return None
-    two_v = _two_set(g, v)
-    if len(two_v) > 1:
+    closed_v = _closed_set(g, v)
+    if len(closed_v) > 2:
         return None
-    _include(g, log, ReductionKind.DEG_ZERO, v, two_v)
+    _include(g, log, ReductionKind.DEG_ZERO, v, closed_v - {v})
     return v
 
 
@@ -255,10 +244,10 @@ def try_deg_one(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) ->
     if len(one_v) != 1:
         return None
     (u,) = one_v
-    two_v = _two_set(g, v)
-    if len(two_v) > len(g._one[u]) - 1:
+    closed_v = _closed_set(g, v)
+    if len(closed_v) > len(g._one[u]) + 1:
         return None
-    _include(g, log, ReductionKind.DEG_ONE, v, two_v | {u})
+    _include(g, log, ReductionKind.DEG_ONE, v, closed_v - {v})
     return v
 
 

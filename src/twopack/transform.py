@@ -63,13 +63,12 @@ def square(g: TwoLevelGraph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> SquareGraph
     rows: list[list[int]] = []
     directed = 0
     # Read in place (see TwoLevelGraph): every row belongs to an active vertex.
-    one, two, materialized = g._one, g._two, g._materialized
+    closed, materialized = g._closed, g._materialized
     for orig in active:
         if not materialized[orig]:
             g.materialize_two_neighborhood(orig)
-        merged = one[orig] | two[orig]
-        directed += len(merged)
+        directed += len(closed[orig]) - 1
         if directed // 2 > edge_cap:
             raise EdgeCapExceeded(directed // 2, edge_cap)
-        rows.append([dense[w] for w in merged])
+        rows.append([dense[w] for w in closed[orig] if w != orig])
     return SquareGraph.from_adjacency(rows, active)

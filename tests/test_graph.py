@@ -100,7 +100,7 @@ class TestMaterialize:
     def test_symmetric_entries_on_partner(self):
         g = TwoLevelGraph(path_graph(3))
         g.materialize_two_neighborhood(0)
-        assert 0 in g._two[2]
+        assert 0 in g._closed[2]
 
     def test_idempotent(self):
         g = TwoLevelGraph(path_graph(5))
@@ -127,7 +127,7 @@ class TestRemoveVertex:
         g.remove_vertex(1, VertexStatus.EXCLUDED)
         assert g.status(1) is VertexStatus.EXCLUDED
         assert g.degree(0) == 0
-        assert 2 in g._two[0]
+        assert 2 in g._closed[0]
         assert g.two_edge_count == 1
 
     def test_p2_no_retention_for_single_neighbor(self):
@@ -146,7 +146,7 @@ class TestRemoveVertex:
     def test_no_retention_between_adjacent_neighbors(self):
         g = TwoLevelGraph(complete_graph(3))
         g.remove_vertex(0, VertexStatus.INCLUDED)
-        assert 2 not in g._two[1]
+        assert g.two_edge_count == 0
         assert 2 in g.neighbors(1)
 
     def test_double_removal_rejected(self):
@@ -242,4 +242,35 @@ def test_symmetry_after_removals(params):
         for w in tlg.neighbors(v):
             assert v in tlg.neighbors(w)
         for w in tlg.materialize_two_neighborhood(v):
-            assert v in tlg._two[w]
+            assert v in tlg._closed[w]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.floats(0.0, 0.7),
+    st.integers(0, 10**6),
+    st.lists(st.tuples(st.sampled_from("ime"), st.integers(0, 10**6)), max_size=10),
+)
+def test_counts_and_closed_sets_after_any_operations(n, p, seed, ops):
+    """Removals under both marks and materializations keep both incremental
+    edge counts equal to a recount, and every closed conflict set symmetric
+    and holding its vertex and its neighbors."""
+    tlg = TwoLevelGraph(gnp_graph(n, p, seed))
+    for op, pick in ops:
+        active = tlg.active_vertices()
+        if not active:
+            break
+        v = active[pick % len(active)]
+        if op == "m":
+            tlg.materialize_two_neighborhood(v)
+        else:
+            tlg.remove_vertex(v, VertexStatus.INCLUDED if op == "i" else VertexStatus.EXCLUDED)
+        active = tlg.active_vertices()
+        one = sum(len(tlg.neighbors(v)) for v in active)
+        two = sum(len(tlg._closed[v]) - 1 - len(tlg.neighbors(v)) for v in active)
+        assert (tlg.one_edge_count, tlg.two_edge_count) == (one // 2, two // 2)
+        for v in active:
+            assert tlg._closed[v] >= {v} | tlg.neighbors(v)
+            for w in tlg._closed[v]:
+                assert tlg.status(w) is VertexStatus.ACTIVE and v in tlg._closed[w]

@@ -551,9 +551,25 @@ class TestHeuristic:
             assert_maximal(sq, res.vertices)
 
     def test_square_c6_finds_antipodal_pair(self):
-        res = heuristic_mis(square(TwoLevelGraph(cycle_graph(6))), Deadline(2.0))
+        sq = square(TwoLevelGraph(cycle_graph(6)))
+        res = heuristic_mis(sq, Deadline(2.0))
         assert res.size == 2
-        assert not res.proven_optimal
+        assert not res.proven_optimal or res.size == exact_mis(sq, LONG).size
+
+    def test_proof_only_at_the_optimum(self):
+        """A proof is claimed only when the answer is a maximum independent
+        set.  One to three iterations leave some answers below the optimum."""
+        rng = Random(1)
+        proven = 0
+        for _ in range(200):
+            n, p, seed = rng.randint(10, 50), rng.choice([0.05, 0.08, 0.12]), rng.randrange(10**6)
+            sq = square(TwoLevelGraph(gnp_graph(n, p, seed)))
+            res = heuristic_mis(sq, Deadline(30.0, max_nodes=rng.randint(1, 3)), seed=seed)
+            exact = exact_mis(sq, LONG)
+            assert exact.proven_optimal and res.size <= exact.size
+            assert not res.proven_optimal or res.size == exact.size
+            proven += res.proven_optimal
+        assert proven > 0
 
     def test_always_maximal_and_independent(self):
         for seed in range(12):
@@ -584,7 +600,8 @@ class TestHeuristic:
         assert a.vertices == b.vertices
 
     def test_swaps_gain_exactly_one_and_stay_independent(self):
-        g = gnp_graph(14, 0.25, 123)
+        # Below the root cover bound, so the local search runs its iterations.
+        g = gnp_graph(40, 0.1, 123)
         sq = square(TwoLevelGraph(g))
         adj = [set(sq.adjacency[v]) for v in range(sq.n)]
         with recorded_swaps() as swaps:

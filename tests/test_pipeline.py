@@ -16,6 +16,7 @@ from twopack import (
     StaticGraph,
     brute_beta,
     kernel_ratios,
+    parse_metis,
     solve_m2s,
     verify_2ps,
 )
@@ -90,8 +91,17 @@ class TestSolve:
                 g, SolverConfig(mode=SolverMode.HEURISTIC, max_nodes=50)
             )
             assert verify_2ps(g, heur.vertices)
-            assert heur.size <= exact.size
-            assert not heur.proven_optimal or heur.kernel.n_kernel == 0
+            assert exact.proven_optimal and heur.size <= exact.size
+            assert not heur.proven_optimal or heur.size == exact.size
+
+    def test_heuristic_stops_at_the_cover_bound(self):
+        """lesmis unreduced: the first local optimum meets the root cover
+        bound, so heuristic mode returns it proven without an iteration."""
+        lesmis = Path(__file__).resolve().parent.parent / "data" / "instances" / "lesmis.graph"
+        g = parse_metis(lesmis.read_text())
+        cfg = SolverConfig(variant=ReductionVariant.TWO_PACK, mode=SolverMode.HEURISTIC)
+        sol = solve_m2s(g, cfg)
+        assert (sol.size, sol.proven_optimal, sol.mis_nodes) == (10, True, 0)
 
     def test_heuristic_on_empty_kernel_is_proven(self):
         sol = solve_m2s(path_graph(4), SolverConfig(mode=SolverMode.HEURISTIC))

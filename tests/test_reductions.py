@@ -531,7 +531,7 @@ def graph_state(g: TwoLevelGraph):
     return (
         [g.status(v) for v in range(g.n)],
         [frozenset(s) for s in g._one],
-        [frozenset(s) for s in g._two],
+        [frozenset(s) for s in g._closed],
         [g.is_materialized(v) for v in range(g.n)],
         g.two_edge_count,
     )

@@ -130,7 +130,7 @@ def test_square_matches_accessor_construction(n, p, seed, removals, materialize)
             base.materialize_two_neighborhood(active[pick % len(active)])
     got, want = copy.deepcopy(base), copy.deepcopy(base)
     assert square(got) == reference_square(want)
-    assert got._two == want._two
+    assert got._closed == want._closed
     assert [got.is_materialized(v) for v in range(n)] == [
         want.is_materialized(v) for v in range(n)
     ]
