@@ -133,8 +133,8 @@ class TwoLevelGraph:
         self._active = static.n
         self._m = static.m
         self._m2 = 0
-        # Optional callback (w, ball) fired after each removal with the set of
-        # surviving vertices that were at conflict distance <= 2 of w.
+        # Optional callback (w, ball) fired after each removal with a set, never
+        # touched again, of the survivors at conflict distance <= 2 of w.
         self.removal_listener: Callable[[int, set[int]], None] | None = None
 
     # -- read-only views ---------------------------------------------------
@@ -217,8 +217,9 @@ class TwoLevelGraph:
         self._closed[w] = set()  # so the pass over closed_w skips w itself
         ball: set[int] | None = None
         if self.removal_listener is not None:
-            ball = closed_w.union(*[self._one[x] for x in nbrs])
-            ball.discard(w)
+            ball = closed_w  # materialized, it holds the neighbours' neighbours
+            if not self._materialized[w]:
+                ball = closed_w.union(*[self._one[x] for x in nbrs])
         for x in nbrs:
             self._one[x].remove(w)
         for x in closed_w:
@@ -237,6 +238,7 @@ class TwoLevelGraph:
         self._status[w] = mark
         self._active -= 1
         if ball is not None:
+            ball.discard(w)
             self.removal_listener(w, ball)
 
     def __repr__(self) -> str:

@@ -35,17 +35,20 @@ class ReductionKind(Enum):
 
 
 class ReductionVariant(Enum):
-    """Reduction portfolio: none, the two general rules, or those two plus the
-    degree-zero and degree-one rules.
+    """Reduction portfolio: none, the two general rules, or ``DOMINATION``
+    after the degree-zero and degree-one rules.
 
-    ``ELABORATED`` leaves out the paper's other rules.  Each is a special case
-    of one it keeps: the degree-zero triangle, degree-two (V-shape, triangle,
-    four-cycle) and twin rules include a vertex whose closed 2-neighborhood is
-    pairwise in conflict, which ``CLIQUE`` also includes, and fast domination
-    excludes a vertex that ``DOMINATION`` also finds dominated.  So no retired
-    rule applies to a kernel of the four.  Their probes cost reduce time, most
-    of all fast domination's, and on the benchmark corpora they changed no
-    kernel's vertex count, offset or total edge count (m + m2).
+    ``CLIQUE`` never fires after ``ELABORATED``'s rules run out: if the
+    closed 2-neighborhood C[v] is pairwise in conflict and holds some u
+    besides v, C[v] lies within C[u] and the ``DOMINATION`` probe of v fires;
+    if C[v] is {v}, degree-zero includes v.  ``CORE``, which has no
+    degree-zero rule, keeps ``CLIQUE``.  The paper's other rules are special
+    cases: the degree-zero triangle, degree-two (V-shape, triangle,
+    four-cycle) and twin rules include a vertex whose C[v] is pairwise in
+    conflict, and fast domination excludes a vertex that ``DOMINATION`` also
+    finds dominated.  So no left-out rule applies to a kernel of the three,
+    and on the benchmark corpora they changed no kernel's vertex count,
+    offset or total edge count (m + m2), while their probes cost time.
     """
 
     TWO_PACK = "2pack"
@@ -64,7 +67,6 @@ _VARIANT_ORDERS: dict[ReductionVariant, tuple[ReductionKind, ...]] = {
         ReductionKind.DEG_ZERO,
         ReductionKind.DEG_ONE,
         ReductionKind.DOMINATION,
-        ReductionKind.CLIQUE,
     ),
 }
 
@@ -180,7 +182,7 @@ def try_domination(
     g: TwoLevelGraph,
     v: int,
     log: Optional[ReductionLog] = None,
-    since: Optional[list[set[int]]] = None,
+    since: Optional[set[int]] = None,
 ) -> Optional[int]:
     """Exclude a vertex u whose closed 2-neighborhood contains that of v.
 
@@ -188,9 +190,10 @@ def try_domination(
     v; on equal closed 2-neighborhoods the larger ID is excluded.  Every
     candidate up to the excluded one has its 2-neighborhood materialized.
 
-    ``since``, if given, holds the balls (see ``TwoLevelGraph.removal_listener``)
-    of every removal that had v in its ball since a probe of v last failed.
-    Only candidates outside at least one of those balls are scanned.  The
+    ``since``, if given, is the intersection of the balls (see
+    ``TwoLevelGraph.removal_listener``) of the removals that had v in their
+    ball since a probe of v last failed, at least one.  Only candidates
+    outside it, outside at least one of those balls, are scanned.  The
     predicate, C[v] within C[u] for the closed conflict neighborhoods, reads
     only the conflict relation, which removing w changes only by deleting w.
     A removal with v outside its ball leaves C[v] as it was and only shrinks
@@ -202,8 +205,8 @@ def try_domination(
     closed, materialized = g._closed, g._materialized
     closed_v = _closed_set(g, v)
     size_v = len(closed_v)
-    # v lies in every ball of ``since``, so only the full scan drops it by hand.
-    candidates = closed_v - {v} if since is None else closed_v - closed_v.intersection(*since)
+    # v lies in every ball, so only the full scan drops it by hand.
+    candidates = closed_v - {v} if since is None else closed_v - since
     for u in sorted(candidates):
         if not materialized[u]:
             g.materialize_two_neighborhood(u)
@@ -302,7 +305,8 @@ def apply_rules_exhaustively(
       has dropped below the window since it was queued is popped unprobed;
     * a ``DOMINATION`` probe on a vertex whose last such probe failed scans
       only the candidates that some removal since then may have freed: it
-      receives the balls of those removals (see ``try_domination``).  Its
+      receives the intersection of those removals' balls, kept as they arrive
+      (see ``try_domination``), so a re-probe costs one set difference.  Its
       materializations are those of a full probe.
 
     Each rule keeps its pending vertices in a set and in a min-heap holding
@@ -332,19 +336,19 @@ def apply_rules_exhaustively(
                     pending.add(x)
                     heappush(heap, x)
 
-    # Per vertex: the balls of the removals since its last failed DOMINATION
-    # probe, or None if that probe never failed or last fired.  A removed
-    # vertex drops its record, so that only records still to be read keep
-    # balls alive.
-    since: list[Optional[list[set[int]]]] = [None] * g.n
+    # Per vertex: None if its DOMINATION probe never failed or last fired; else
+    # the vertices inside every ball since it failed: False before the first
+    # ball (only a ball queues it again), that ball by reference, and a fresh
+    # intersection for each later one, so no ball is ever mutated.
+    since: list[Optional[set[int]] | bool] = [None] * g.n
 
     def on_removal(removed: int, ball: set[int]) -> None:
         since[removed] = None
         mark(ball)
         for x in ball:
-            balls = since[x]
-            if balls is not None:
-                balls.append(ball)
+            inside = since[x]
+            if inside is not None:
+                since[x] = ball if inside is False else inside & ball
 
     mark(range(g.n))
     g.removal_listener = on_removal
@@ -360,7 +364,7 @@ def apply_rules_exhaustively(
                         if domination:
                             # Positional: probe wrappers may forward only *args.
                             hit = func(g, v, log, since[v])
-                            since[v] = None if hit is not None else []
+                            since[v] = None if hit is not None else False
                         else:
                             hit = func(g, v, log)
                         if hit is not None:

@@ -8,7 +8,7 @@ from random import Random
 from typing import Iterator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twopack.mis
@@ -237,6 +237,25 @@ def test_local_search_matches_reference(n, p, seed, pick_seed, density, independ
     got = twopack.mis._swap_pass(nb, sol, got_rng)
     assert got == reference_swap_pass(n, nb, sol, want_rng)
     assert got_rng.getstate() == want_rng.getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@example(0, 0.3, 0)
+@example(12, 0.0, 0)
+@given(st.integers(0, 40), st.sampled_from([0.0, 0.05, 0.15, 0.4]), st.integers(0, 10**6))
+def test_mask_builders_match_bitwise_reference(n, p, seed):
+    """Both mask builders equal masks ORed together one bit at a time, on the
+    empty square and with isolated vertices too."""
+    sq = as_square(gnp_graph(n, p, seed))
+    order = sorted(range(n), key=lambda v: (len(sq.adjacency[v]), v))
+    rank = {v: r for r, v in enumerate(order)}
+    want, want_ranked = [0] * n, [0] * n
+    for v in range(n):
+        for w in sq.adjacency[v]:
+            want[v] |= 1 << w
+            want_ranked[rank[v]] |= 1 << rank[w]
+    assert twopack.mis._adjacency_masks(sq) == want
+    assert twopack.mis._cover_ordered_masks(sq) == (order, [rank[v] for v in range(n)], want_ranked)
 
 
 # -- reference clique cover and relabelling --------------------------------------

@@ -29,6 +29,7 @@ from twopack.reductions import (
     _RULE_FUNCS,
     ReductionLog,
     _admits,
+    apply_rules_exhaustively,
     try_clique,
     try_deg_one,
     try_deg_zero,
@@ -66,7 +67,6 @@ class TestVariantOrders:
             ReductionKind.DEG_ZERO,
             ReductionKind.DEG_ONE,
             ReductionKind.DOMINATION,
-            ReductionKind.CLIQUE,
         )
 
     def test_two_pack_applies_nothing(self):
@@ -199,7 +199,7 @@ class TestDegOne:
 
 
 class TestVShape:
-    """Cases of the retired DEG_TWO_V_SHAPE rule: CLIQUE or the four-rule
+    """Cases of the retired DEG_TWO_V_SHAPE rule: CLIQUE or the three-rule
     ``elaborated`` reduces them, and where the rule was blocked ``elaborated``
     still reaches the optimum."""
 
@@ -423,8 +423,6 @@ def test_exhaustiveness_on_corpus(full_corpus):
             kernel = reduce(g, variant)
             follow_up = ReductionLog()
             counts: Counter = Counter()
-            from twopack.reductions import apply_rules_exhaustively
-
             apply_rules_exhaustively(copy.deepcopy(kernel.graph), variant.rule_order, follow_up, counts)
             assert len(follow_up) == 0
             assert sum(counts.values()) == 0
@@ -575,12 +573,14 @@ def test_rules_match_reference(n, p, seed, removals, materialize):
     st.sampled_from([0.15, 0.3, 0.5]),
     st.integers(0, 10**6),
     st.lists(st.integers(0, 10**6), max_size=4),
-    st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+    st.lists(st.integers(0, 10**6), min_size=2, max_size=6),
 )
 def test_filtered_domination_matches_full_probe(n, p, seed, before, after):
     """After a failed domination probe on v and further removals, a probe
-    given the balls of the removals that reached v returns the same vertex as
-    a full probe and leaves the same graph and log."""
+    given the intersection of the balls that reached v returns the same
+    vertex as a full probe and leaves the same graph and log.  The first two
+    removals are taken from C[v] while it holds another vertex, so two or
+    more balls reach v wherever the graph allows."""
     base = TwoLevelGraph(gnp_graph(n, p, seed))
     for pick in before:
         active = base.active_vertices()
@@ -593,26 +593,93 @@ def test_filtered_domination_matches_full_probe(n, p, seed, before, after):
             continue
         balls: list[set[int]] = []
         g.removal_listener = lambda w, ball: balls.append(ball) if v in ball else None
-        for pick in after:
+        for i, pick in enumerate(after):
             others = [x for x in g.active_vertices() if x != v]
-            if not others:
+            near = [x for x in others if x in g._closed[v]]
+            pool = near if i < 2 and near else others
+            if not pool:
                 break
             mark = VertexStatus.INCLUDED if pick % 2 else VertexStatus.EXCLUDED
-            g.remove_vertex(others[pick % len(others)], mark)
+            g.remove_vertex(pool[pick % len(pool)], mark)
+        if not balls:
+            continue  # no removal reached v, so the scheduler does not probe it again
+        inside = set.intersection(*balls)
         got, want = copy.deepcopy(g), copy.deepcopy(g)
         got_log, want_log = ReductionLog(), ReductionLog()
-        assert try_domination(got, v, got_log, balls) == try_domination(want, v, want_log), v
+        assert try_domination(got, v, got_log, inside) == try_domination(want, v, want_log), v
         assert graph_state(got) == graph_state(want), v
         assert [(e.vertex, e.decision, e.rule) for e in got_log.entries] == [
             (e.vertex, e.decision, e.rule) for e in want_log.entries
         ]
 
 
+@st.composite
+def gnp_or_ba(draw):
+    """G(n, p) or Barabasi-Albert graph on at most 40 vertices."""
+    n, seed = draw(st.integers(1, 40)), draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        return gnp_graph(n, draw(st.sampled_from([0.05, 0.1, 0.2, 0.35])), seed)
+    k = draw(st.integers(1, 3))
+    return preferential_attachment(max(n, k + 1), k, seed)
+
+
+class BallSnapshots(TwoLevelGraph):
+    """Two-level graph that snapshots each ball as it hands it to the listener."""
+
+    def __init__(self, static: StaticGraph):
+        self.handed: list[tuple[set[int], frozenset[int]]] = []
+        super().__init__(static)
+
+    @property
+    def removal_listener(self):
+        return self._listener
+
+    @removal_listener.setter
+    def removal_listener(self, listener):
+        def snapshot(w, ball):
+            self.handed.append((ball, frozenset(ball)))
+            listener(w, ball)
+
+        self._listener = None if listener is None else snapshot
+
+
+@settings(max_examples=80, deadline=None)
+@given(gnp_or_ba())
+def test_balls_are_never_mutated(static):
+    """No ball changes after the graph hands it to the scheduler, which keeps
+    a vertex's first ball by reference."""
+    for variant in (ReductionVariant.CORE, ReductionVariant.ELABORATED):
+        g = BallSnapshots(static)
+        apply_rules_exhaustively(g, variant.rule_order, ReductionLog(), Counter())
+        assert len(g.handed) == g.n - g.active_count
+        for ball, snapshot in g.handed:
+            assert ball == snapshot
+
+
+@settings(max_examples=100, deadline=None)
+@given(gnp_or_ba())
+def test_clique_never_fires_after_elaborated(static):
+    """With CLIQUE appended to the ELABORATED order it fires 0 times, and the
+    log and the kernel (including which vertices are materialized) are as
+    without it."""
+
+    def run(order):
+        g, log, counts = TwoLevelGraph(static), ReductionLog(), Counter()
+        apply_rules_exhaustively(g, order, log, counts)
+        entries = [(e.vertex, e.decision, e.rule) for e in log.entries]
+        return entries, graph_state(g), counts
+
+    order = ReductionVariant.ELABORATED.rule_order
+    with_clique = run(order + (ReductionKind.CLIQUE,))
+    assert with_clique[2][ReductionKind.CLIQUE] == 0
+    assert with_clique == run(order)
+
+
 # SHA-1 of the (vertex, decision, rule) log and the kernel's (n, m, m2) under
 # ELABORATED, recorded with rules built on the checked accessors (as in the
 # reference functions above).  m2 counts recorded conflict edges, so it also
 # pins which 2-neighborhoods the rules materialize.  The geometric digest is
-# that of the four-rule ELABORATED.
+# that of the four-rule ELABORATED; dropping CLIQUE left both as they were.
 GOLDEN_TRACES = {
     "hub": (
         lambda: preferential_attachment(300, 3, seed=7),
@@ -637,7 +704,7 @@ def test_reduction_trace_is_pinned(name):
 
 
 # Kernel (n, offset, m + m2) under ELABORATED, recorded with the ten-rule
-# portfolio that the four rules replaced.  The rules may exclude a different
+# portfolio that ELABORATED's rules replaced.  The rules may exclude a different
 # dominated vertex, which moves edges between m and m2 (as on the last two
 # graphs), so only the sum is pinned.  A portfolio that reduces less fails.
 KERNEL_POWER = {
@@ -720,10 +787,11 @@ def test_degree_windows_are_sound(n, p, seed, removals, materialize):
 # Probes per GOLDEN_TRACES graph with every vertex of a removal's ball queued
 # for every rule, as before degree windows.
 PROBES_WITHOUT_WINDOWS = {"hub": 24229, "geometric": 45377}
-# Probes of the two rules whose window admits every degree; windows leave them as they were.
+# Probes of the two rules whose window admits every degree; windows leave them
+# as they were.  ELABORATED runs no CLIQUE, so it makes no CLIQUE probe.
 EVERY_DEGREE_PROBES = {
-    "hub": {ReductionKind.DOMINATION: 1618, ReductionKind.CLIQUE: 283},
-    "geometric": {ReductionKind.DOMINATION: 1556, ReductionKind.CLIQUE: 81},
+    "hub": {ReductionKind.DOMINATION: 1618, ReductionKind.CLIQUE: 0},
+    "geometric": {ReductionKind.DOMINATION: 1556, ReductionKind.CLIQUE: 0},
 }
 
 
