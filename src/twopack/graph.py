@@ -15,7 +15,22 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
-    """Raised when a structural contract is violated (bad input, inactive vertex)."""
+    """Raised when a structural contract is violated (bad input, inactive vertex).
+
+    A fault in an adjacency list sets ``kind`` ("out of range", "self-loop",
+    "duplicate" or "asymmetric"), the 0-based ``vertex`` whose list holds it
+    and the faulty ``neighbor``; other errors leave the three None.
+    """
+
+    kind: str | None = None
+    vertex: int | None = None
+    neighbor: int | None = None
+
+    @classmethod
+    def in_list(cls, kind: str, vertex: int, neighbor: int) -> GraphError:
+        err = cls(f"{kind}: neighbor {neighbor} of vertex {vertex}")
+        err.kind, err.vertex, err.neighbor = kind, vertex, neighbor
+        return err
 
 
 class VertexStatus(Enum):
@@ -27,8 +42,9 @@ class VertexStatus(Enum):
 class StaticGraph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
-    Neighbor lists are sorted ascending.  Self-loops, duplicate edges and
-    asymmetric adjacency input are rejected at construction time; the
+    Neighbor lists are sorted ascending.  This is the one structural check of
+    every input graph: an out-of-range neighbor, a self-loop, a duplicate or
+    an asymmetric entry raises ``GraphError`` with the faulty ``vertex``.  The
     per-vertex sets that check uses are dropped afterwards, so a graph keeps
     only its adjacency tuples.
     """
@@ -44,18 +60,18 @@ class StaticGraph:
             nbrs = sorted(raw)
             for i, w in enumerate(nbrs):
                 if not 0 <= w < n:
-                    raise GraphError(f"neighbor {w} of vertex {v} out of range 0..{n - 1}")
+                    raise GraphError.in_list("out of range", v, w)
                 if w == v:
-                    raise GraphError(f"self-loop at vertex {v}")
+                    raise GraphError.in_list("self-loop", v, w)
                 if i > 0 and nbrs[i - 1] == w:
-                    raise GraphError(f"duplicate neighbor {w} at vertex {v}")
+                    raise GraphError.in_list("duplicate", v, w)
             adj.append(tuple(nbrs))
             sets.append(frozenset(nbrs))
             total += len(nbrs)
         for v in range(n):
             for w in adj[v]:
                 if v not in sets[w]:
-                    raise GraphError(f"asymmetric adjacency: edge {v}->{w} has no reverse")
+                    raise GraphError.in_list("asymmetric", v, w)
         self.n = n
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(adj)
         self.m = total // 2
@@ -66,8 +82,6 @@ class StaticGraph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range 0..{n - 1}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
         return cls(adj)

@@ -1,15 +1,15 @@
 """Graph file parsing and writing.
 
 Two formats: METIS adjacency files (1-based, header ``n m``, ``%`` comments)
-and plain edge lists (one ``u v`` pair per line, 0- or 1-based).  Parse
-errors carry the offending line number.
+and plain edge lists (one ``u v`` pair per line, 0- or 1-based).  The graph's
+structure is checked by ``StaticGraph``; parse errors carry the line number.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import StaticGraph
+from .graph import GraphError, StaticGraph
 
 
 class ParseError(ValueError):
@@ -28,6 +28,8 @@ def parse_metis(text: str) -> StaticGraph:
 
     The header declares ``n m`` (an optional all-zero format code is
     tolerated); every undirected edge must appear in both endpoint lines.
+    ``StaticGraph`` checks the lists; its ``GraphError`` is raised again as
+    a ``ParseError`` at the line of the vertex whose list holds the fault.
     """
     lines = text.splitlines()
     header_idx = None
@@ -51,52 +53,32 @@ def parse_metis(text: str) -> StaticGraph:
         raise ParseError(header_idx + 1, f"unsupported format code {tokens[2]!r} (weights)")
 
     adjacency: list[list[int]] = []
-    neighbor_sets: list[set[int]] = []
-    vertex_line: list[int] = []
     for idx in range(header_idx + 1, len(lines)):
         line = lines[idx]
         if _is_comment(line):
             continue
-        lineno = idx + 1
         if len(adjacency) == n:
-            raise ParseError(lineno, f"unexpected data line after {n} vertex lines")
-        v = len(adjacency) + 1
-        nbrs: list[int] = []
-        seen: set[int] = set()
-        for token in line.split():
-            try:
-                w = int(token)
-            except ValueError:
-                raise ParseError(lineno, f"invalid neighbor token {token!r}") from None
-            if not 1 <= w <= n:
-                raise ParseError(lineno, f"neighbor {w} out of range 1..{n}")
-            if w == v:
-                raise ParseError(lineno, f"self-loop at vertex {v}")
-            if w in seen:
-                raise ParseError(lineno, f"duplicate neighbor {w} at vertex {v}")
-            seen.add(w)
-            nbrs.append(w)
-        adjacency.append(nbrs)
-        neighbor_sets.append(seen)
-        vertex_line.append(lineno)
+            raise ParseError(idx + 1, f"unexpected data line after {n} vertex lines")
+        try:
+            adjacency.append([w - 1 for w in map(int, line.split())])
+        except ValueError:
+            for token in line.split():
+                try:
+                    int(token)
+                except ValueError:
+                    raise ParseError(idx + 1, f"invalid neighbor token {token!r}") from None
     if len(adjacency) != n:
         raise ParseError(len(lines) + 1, f"expected {n} vertex lines, found {len(adjacency)}")
 
-    entries = 0
-    for v0, nbrs in enumerate(adjacency):
-        for w in nbrs:
-            if (v0 + 1) not in neighbor_sets[w - 1]:
-                raise ParseError(
-                    vertex_line[v0],
-                    f"asymmetric adjacency: edge {v0 + 1}->{w} has no reverse entry",
-                )
-        entries += len(nbrs)
-    if entries // 2 != m:
-        raise ParseError(
-            header_idx + 1, f"header declares {m} edges but lists contain {entries // 2}"
-        )
-
-    return StaticGraph([[w - 1 for w in nbrs] for nbrs in adjacency])
+    try:
+        g = StaticGraph(adjacency)
+    except GraphError as exc:
+        data_lines = [i for i in range(header_idx + 1, len(lines)) if not _is_comment(lines[i])]
+        fault = f"{exc.kind}: neighbor {exc.neighbor + 1} of vertex {exc.vertex + 1}"
+        raise ParseError(data_lines[exc.vertex] + 1, fault) from None
+    if g.m != m:
+        raise ParseError(header_idx + 1, f"header declares {m} edges but lists contain {g.m}")
+    return g
 
 
 def parse_edgelist(text: str, *, one_based: bool = False) -> StaticGraph:

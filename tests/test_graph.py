@@ -39,6 +39,11 @@ class TestStaticGraph:
         with pytest.raises(GraphError, match="out of range"):
             StaticGraph.from_edges(2, [(0, 5)])
 
+    def test_rejects_negative_endpoint(self):
+        # -1 must not wrap round to vertex n - 1
+        with pytest.raises(GraphError, match="out of range"):
+            StaticGraph.from_edges(3, [(-1, 0)])
+
     def test_empty_graph(self):
         g = StaticGraph.from_edges(0, [])
         assert g.n == 0 and g.m == 0

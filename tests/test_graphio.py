@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twopack import (
     ParseError,
@@ -77,6 +79,102 @@ class TestParseMetis:
     def test_extra_data_line(self):
         with pytest.raises(ParseError, match="unexpected"):
             parse_metis("2 1\n2\n1\n2\n")
+
+    @pytest.mark.parametrize(
+        "text, line, fault",
+        [
+            ("3 2\n2\n1\n2\n", 4, "asymmetric: neighbor 2 of vertex 3"),
+            ("% c\n3 1\n% c\n\n3\n1\n", 5, "asymmetric: neighbor 3 of vertex 2"),
+            ("2 1\n0\n1\n", 2, "out of range: neighbor 0 of vertex 1"),
+            ("2 1\n2\n1 3\n", 3, "out of range: neighbor 3 of vertex 2"),
+            ("2 1\n2\n2\n", 3, "self-loop: neighbor 2 of vertex 2"),
+            ("3 2\n2 3\n1 3 1\n1 2\n", 3, "duplicate: neighbor 1 of vertex 2"),
+            ("3 2\n2\n1 3.0\n2\n", 3, "invalid neighbor token '3.0'"),
+        ],
+    )
+    def test_faults_name_the_file_ids(self, text, line, fault):
+        with pytest.raises(ParseError) as info:
+            parse_metis(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {fault}"
+
+
+# corruption of one vertex line -> the keyword its ParseError must carry
+CORRUPTIONS = {
+    "drop": "asymmetric",
+    "one-sided": "asymmetric",
+    "duplicate": "duplicate",
+    "self-loop": "self-loop",
+    "zero": "out of range",
+    "past-n": "out of range",
+}
+
+
+def _faulty_vertices(rows: list[list[int]]) -> set[int]:
+    """1-based vertices whose list holds an entry out of range, equal to the
+    vertex, repeated, or missing from the other endpoint's list."""
+    n = len(rows)
+    return {
+        v
+        for v, row in enumerate(rows, start=1)
+        for w in row
+        if not 1 <= w <= n or w == v or row.count(w) > 1 or v not in rows[w - 1]
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.floats(0.0, 0.5),
+    st.integers(0, 10**6),
+    st.sampled_from(sorted(CORRUPTIONS)),
+    st.data(),
+)
+def test_corrupted_metis_fails_at_a_faulty_line(n, p, seed, corruption, data):
+    g = gnp_graph(n, p, seed)
+    header, *body = write_metis(g).splitlines()
+    rows = [[int(t) for t in line.split()] for line in body]
+    comments = data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))
+
+    def render() -> tuple[str, dict[int, int]]:
+        lines, vertex_line = [header], {}
+        for v, row in enumerate(rows, start=1):
+            if comments[v - 1]:
+                lines.append("% note")
+            lines.append(" ".join(map(str, row)))
+            vertex_line[v] = len(lines)
+        if comments[n]:
+            lines.append("% trailing note")
+        return "\n".join(lines) + "\n", vertex_line
+
+    assert parse_metis(render()[0]) == g
+
+    if corruption in ("drop", "duplicate"):
+        candidates = [v for v in range(1, n + 1) if rows[v - 1]]
+    elif corruption == "one-sided":
+        candidates = [v for v in range(1, n + 1) if len(rows[v - 1]) < n - 1]
+    else:
+        candidates = list(range(1, n + 1))
+    assume(candidates)
+    v = data.draw(st.sampled_from(candidates))
+    row = rows[v - 1]
+    if corruption == "drop":
+        del row[data.draw(st.integers(0, len(row) - 1))]
+    else:
+        if corruption == "duplicate":
+            entry = data.draw(st.sampled_from(row))
+        elif corruption == "one-sided":
+            others = [w for w in range(1, n + 1) if w != v and w not in row]
+            entry = data.draw(st.sampled_from(others))
+        else:
+            entry = {"self-loop": v, "zero": 0, "past-n": n + 1}[corruption]
+        row.insert(data.draw(st.integers(0, len(row))), entry)
+
+    text, vertex_line = render()
+    with pytest.raises(ParseError) as info:
+        parse_metis(text)
+    assert info.value.line in {vertex_line[u] for u in _faulty_vertices(rows)}
+    assert CORRUPTIONS[corruption] in str(info.value)
 
 
 class TestParseEdgelist:
