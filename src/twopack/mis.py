@@ -3,12 +3,13 @@
 Two solvers over a shared bitmask representation: an exact branch-and-bound,
 which takes isolated and pendant vertices at every node, bounds with a greedy
 clique cover and branches only on vertices the bound could not charge to the
-incumbent, and an iterated (1,2)-swap local search.  The local search works
-on whole masks: one pass over the solution builds the cover masks (vertices
-with at least one and at least two solution neighbours), the 1-tight
-vertices are those covered once, and a member's swap candidates are its
-neighbourhood ANDed with them.  Both start from one maximal set, built by
-first fit in ascending degree order and taken to a local optimum.
+incumbent, and an iterated (1,2)-swap local search.  The local search is
+incremental: it keeps, for every vertex, the count of its solution
+neighbours (free at 0, 1-tight at 1) and a stack of candidate members whose
+1-tight neighbourhood may hold a swap, so each move touches only the
+neighbourhoods it changes; its perturbation picks the vertex to force in by
+rejection sampling.  Both start from one maximal set, built by first fit in
+ascending degree order and taken to a local optimum.
 All randomness flows from a single seed; with a node budget instead of a wall
 clock, runs are bit-identical.
 """
@@ -99,75 +100,141 @@ def _first_fit(sq: SquareGraph) -> list[int]:
     return chosen
 
 
-def _maximalize(n: int, nb: list[int], sol: int, rng: Random) -> int:
-    """Add the vertices with no solution neighbour, in random order, while
-    they stay free."""
-    covered = sol
-    for s in _bits(sol):
-        covered |= nb[s]
-    free = _bits(((1 << n) - 1) & ~covered)
-    rng.shuffle(free)
-    for v in free:
-        if nb[v] & sol == 0:
-            sol |= 1 << v
-    return sol
+def _move(
+    adjacency: tuple[tuple[int, ...], ...], nb: list[int], sol: int, tight: list[int],
+    out: list[int], into: list[int], stack: list[int],
+) -> tuple[int, list[int]]:
+    """Remove the members ``out``, then insert the vertices ``into``, which
+    must be independent of each other and of the members that stay.
 
-
-def _swap_pass(nb: list[int], sol: int, rng: Random) -> tuple[int, bool]:
-    """One (1,2)-swap attempt: trade a solution vertex for two of its 1-tight
-    neighbors that are mutually non-adjacent.
-
-    Members are tried in random order; for each, the first pair in ascending
-    order is taken: the lowest candidate with a non-adjacent candidate above
-    it, and the lowest such partner.
+    ``tight[v]`` counts the solution neighbours of ``v`` and is updated on
+    every insert and remove.  Every inserted vertex is pushed on ``stack``,
+    and so is the one solution neighbour of every vertex whose count drops
+    to 1: those are the members whose 1-tight neighbourhood may have gained a
+    (1,2)-swap.  Returns the new solution and, ascending, the vertices the
+    move left free (no solution neighbour), which only the removed members'
+    neighbours can be.
     """
-    members = _bits(sol)
-    c1 = c2 = 0
-    for s in members:
-        c2 |= c1 & nb[s]
-        c1 |= nb[s]
-    tight1 = c1 & ~c2 & ~sol
-    rng.shuffle(members)
-    for v in members:
-        candidates = nb[v] & tight1
-        while candidates:
-            low1 = candidates & -candidates
-            candidates ^= low1
-            partners = candidates & ~nb[low1.bit_length() - 1]
-            if partners:
-                return (sol & ~(1 << v)) | low1 | (partners & -partners), True
-    return sol, False
+    # Pushed first, so popped last: the rest of the solution settles before
+    # a swap may take an inserted vertex out again.
+    stack.extend(into)
+    freed = 0
+    for r in out:
+        sol ^= 1 << r
+        for w in adjacency[r]:
+            t = tight[w] - 1
+            tight[w] = t
+            if t == 0:
+                freed |= 1 << w
+            elif t == 1:
+                stack.append((nb[w] & sol).bit_length() - 1)
+    for v in into:
+        sol |= 1 << v
+        for w in adjacency[v]:
+            tight[w] += 1
+    free = []
+    freed &= ~sol
+    while freed:
+        low = freed & -freed
+        freed ^= low
+        w = low.bit_length() - 1
+        if not tight[w]:
+            free.append(w)
+    return sol, free
 
 
-def _local_optimum(n: int, nb: list[int], sol: int, rng: Random) -> int:
-    sol = _maximalize(n, nb, sol, rng)
+def _settle(
+    adjacency: tuple[tuple[int, ...], ...], nb: list[int], sol: int, tight: list[int],
+    free: list[int], stack: list[int], rng: Random,
+) -> int:
+    """Take ``sol`` to a local optimum: maximal, and with no (1,2)-swap.
+
+    ``free`` must hold every vertex with no solution neighbour and
+    ``stack`` every member whose 1-tight neighbourhood may hold a swap.  The
+    free vertices are inserted in random order while they stay free.  Then
+    members are popped until the stack is empty.  Each popped member's
+    1-tight neighbours are gathered into a mask, and the first
+    non-adjacent pair is taken: the lowest candidate with a non-adjacent
+    candidate above it, and the lowest such partner.  A swap is a ``_move``,
+    which pushes what it changes; the vertices it frees are inserted in
+    random order before the next pop.
+    """
     while True:
-        sol, improved = _swap_pass(nb, sol, rng)
-        if not improved:
+        rng.shuffle(free)
+        for v in free:
+            if not tight[v]:
+                sol |= 1 << v
+                for w in adjacency[v]:
+                    tight[w] += 1
+                stack.append(v)
+        free = []
+        while stack and not free:
+            x = stack.pop()
+            if not sol >> x & 1:
+                continue
+            candidates = 0
+            for w in adjacency[x]:
+                if tight[w] == 1:
+                    candidates |= 1 << w
+            while candidates:
+                low1 = candidates & -candidates
+                candidates ^= low1
+                partners = candidates & ~nb[low1.bit_length() - 1]
+                if partners:
+                    u1 = low1.bit_length() - 1
+                    u2 = (partners & -partners).bit_length() - 1
+                    sol, free = _move(adjacency, nb, sol, tight, [x], [u1, u2], stack)
+                    break
+        if not free:
             return sol
-        sol = _maximalize(n, nb, sol, rng)
+
+
+def _perturb(
+    adjacency: tuple[tuple[int, ...], ...], nb: list[int], sol: int, tight: list[int],
+    stack: list[int], rng: Random,
+) -> tuple[int, list[int]]:
+    """Force a uniform outside vertex in, picked by rejection with
+    ``rng.randrange``, removing its solution neighbours.  ``sol`` must leave
+    some vertex outside.  Returns what ``_move`` returns."""
+    n = len(tight)
+    u = rng.randrange(n)
+    while sol >> u & 1:
+        u = rng.randrange(n)
+    out = [w for w in adjacency[u] if sol >> w & 1]
+    return _move(adjacency, nb, sol, tight, out, [u], stack)
 
 
 def heuristic_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
-    """Iterated (1,2)-swap local search with perturbation restarts.
+    """Iterated (1,2)-swap local search with perturbation restarts
+    (Andrade, Resende & Werneck, J. Heuristics 18, 2012).
 
-    Each local optimum alternates random maximalization with (1,2)-swaps.
-    A swap pass finds the 1-tight vertices (exactly one solution neighbour)
-    from two cover masks built in one pass over the solution, and a member's
-    candidates with one AND, instead of testing each neighbour.  With
-    ``deadline.max_nodes`` as the budget, a seeded run is bit-identical:
-    same answer, iterations and accepted swaps.
+    The search is incremental.  It keeps the solution mask and, for every
+    vertex, the count of its solution neighbours, updated on each insert and
+    remove: a vertex is free at count 0 and 1-tight at count 1.  A candidate
+    stack holds the members whose 1-tight neighbourhood may hold a swap,
+    namely every inserted vertex and the one solution neighbour of every
+    vertex whose count drops to 1.  A local optimum pops the stack until it
+    is empty, taking each swap it finds, and inserts in random order the
+    vertices a move frees, which are only ever neighbours of the vertices it
+    removed.  So a step touches only the neighbourhoods that changed.  One
+    iteration forces in a uniform outside vertex, picked by rejection with
+    ``rng.randrange``, removes its solution neighbours, and settles from
+    what that changed; the search continues from the new local optimum,
+    better or not.  With ``deadline.max_nodes`` as the budget, a seeded run
+    is bit-identical: same answer, iterations and accepted swaps.
 
     Always returns a maximal independent set, proven optimal only when it
     meets a bound: the vertex count, or, computed just before the first
     iteration, the root clique cover of ``exact_mis``.  The search stops as
     soon as its best meets the bound, so a call that runs no iteration
     (``max_nodes=0`` or no time left) never builds the cover.  The warm
-    start, first fit in ascending degree order taken to a local optimum,
-    never reads the clock and runs to completion however little budget is
-    left.  With none left at the call (``deadline.seconds <= 0``) the answer
-    is that first fit itself, with no local search, unproven; an empty square
-    is proven first, whatever the budget.
+    start, first fit in ascending degree order settled from all its
+    members, never reads the clock and runs to completion however little
+    budget is left.  After it the clock is read once per iteration, and
+    once more for each new best.  With no budget left at the call
+    (``deadline.seconds <= 0``) the answer is that first fit itself, with
+    no local search, unproven; an empty square is proven first, whatever
+    the budget.
     """
     start = time.perf_counter()
     n = sq.n
@@ -178,16 +245,16 @@ def heuristic_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResu
         elapsed = time.perf_counter() - start
         return MisResult(frozenset(chosen), len(chosen), False, 0, elapsed, elapsed)
     rng = Random(seed)
+    adjacency = sq.adjacency
     nb = _adjacency_masks(sq)
-    sol = 0
-    for v in chosen:
-        sol |= 1 << v
-    sol = _local_optimum(n, nb, sol, rng)
+    tight = [0] * n
+    stack: list[int] = []
+    sol, free = _move(adjacency, nb, 0, tight, [], chosen, stack)
+    sol = _settle(adjacency, nb, sol, tight, free, stack, rng)
     best = sol
     best_size = best.bit_count()
     time_to_best = time.perf_counter() - start
     t_end = start + deadline.seconds
-    full = (1 << n) - 1
     iters = 0
     bound = n
     while best_size < bound:
@@ -197,15 +264,12 @@ def heuristic_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResu
             break
         if iters == 0:
             # Only a run that would iterate pays for the root cover bound.
-            bound = len(_clique_cover(full, _cover_ordered_masks(sq)[2]))
+            bound = len(_clique_cover((1 << n) - 1, _cover_ordered_masks(sq)[2]))
             if best_size >= bound:
                 break
         iters += 1
-        # Perturb: force one outside vertex in, then re-optimize.
-        outside = _bits(full & ~sol)
-        u = rng.choice(outside)
-        sol = (sol & ~nb[u]) | (1 << u)
-        sol = _local_optimum(n, nb, sol, rng)
+        sol, free = _perturb(adjacency, nb, sol, tight, stack, rng)
+        sol = _settle(adjacency, nb, sol, tight, free, stack, rng)
         size = sol.bit_count()
         if size > best_size:
             best = sol

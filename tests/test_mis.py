@@ -64,8 +64,9 @@ def kernel_square(g: StaticGraph) -> SquareGraph:
 # the first best - size of the cover, with a node counted only once it passes
 # the clock and budget checks, with the search on cover-ordered labels and no
 # in-node domination pass, and with the warm start built by first fit in
-# ascending degree order.  The two "abort" searches stop at the node budget;
-# the others finish with a proof.
+# ascending degree order and settled by the incremental local search.  The
+# two "abort" searches stop at the node budget; the others finish with a
+# proof.
 PINNED_SEARCHES = {
     "gnp-square": (
         lambda: square(TwoLevelGraph(gnp_graph(150, 0.025, 17))),
@@ -77,8 +78,8 @@ PINNED_SEARCHES = {
     "gnp-square-abort": (
         lambda: square(TwoLevelGraph(gnp_graph(120, 0.035, 3))),
         150,
-        (26, 150, [10, 11, 19, 26, 43, 46, 49, 50, 54, 58, 59, 60, 67, 68, 69, 70, 71,
-                   73, 82, 95, 103, 105, 108, 110, 118, 119]),
+        (26, 150, [10, 11, 14, 19, 26, 38, 43, 46, 49, 50, 58, 59, 60, 67, 69, 70, 71,
+                   73, 79, 82, 95, 103, 105, 108, 118, 119]),
     ),
     "gnp-kernel": (
         lambda: kernel_square(gnp_graph(100, 0.04, 9)),
@@ -106,137 +107,145 @@ PINNED_SEARCHES = {
 
 # name -> (square, max_nodes, (size, nodes_explored, sorted vertices), SHA-1 of
 # the (before, after) masks of every accepted swap, as ``recorded_swaps``
-# lists them) of heuristic_mis with seed 1, recorded with the local search
-# that rescanned every member's neighbours and the warm start built by first
-# fit in ascending degree order.
+# lists them) of heuristic_mis with seed 1, recorded with the incremental
+# local search (solution-neighbour counts, a candidate stack and perturbation
+# by rejection sampling) and the warm start built by first fit in ascending
+# degree order.
 PINNED_ILS = {
     "gnp-square": (
         lambda: square(TwoLevelGraph(gnp_graph(150, 0.025, 17))),
         60,
-        (39, 60, [10, 18, 20, 21, 23, 27, 28, 34, 35, 37, 38, 41, 44, 46, 54, 60, 64,
+        (39, 60, [10, 16, 18, 20, 21, 27, 28, 30, 35, 37, 38, 44, 46, 53, 54, 63, 64,
                   67, 68, 69, 75, 83, 87, 89, 91, 92, 102, 104, 107, 111, 112, 115, 116,
                   123, 125, 128, 135, 141, 143]),
-        "5403e08d1034763154c36a34a1ff1680c0069720",
+        "0c91baa9a56e25d937265d803ab09f0bf4550be4",
     ),
     "gnp-square-dense": (
         lambda: square(TwoLevelGraph(gnp_graph(120, 0.05, 3))),
         60,
-        (20, 60, [3, 6, 10, 38, 49, 50, 57, 59, 60, 69, 80, 81, 82, 92, 95, 103, 112,
-                  116, 117, 118]),
-        "f90efe5b1a72c4664349bc6120bddaa0a30a95f6",
+        (20, 60, [3, 6, 10, 22, 49, 50, 59, 60, 69, 80, 81, 82, 84, 95, 103, 105, 110,
+                  112, 117, 118]),
+        "50ebf35d87cd902fc842555e13ca6a364632f5ca",
     ),
     "gnp-kernel": (
         lambda: kernel_square(gnp_graph(200, 0.03, 9)),
         60,
-        (27, 60, [5, 9, 21, 25, 28, 50, 51, 65, 68, 69, 77, 78, 79, 85, 90, 96, 109,
-                  113, 120, 125, 126, 128, 132, 144, 145, 163, 175]),
-        "b33c780ead7afe99362809b2f8f03ce3c2662d55",
+        (27, 60, [2, 5, 10, 13, 25, 28, 34, 41, 51, 53, 65, 69, 71, 78, 90, 93, 105,
+                  112, 120, 125, 126, 128, 136, 144, 145, 163, 175]),
+        "ed7de36fa4860779592e53a2ea2d1cbb07084b50",
     ),
     "pa-kernel-90": (
         lambda: kernel_square(preferential_attachment(90, 3, 1)),
         60,
         (11, 60, [29, 38, 45, 46, 47, 50, 55, 59, 63, 64, 66]),
-        "4e47085e9970b37e3c93167770e185063a30f77d",
+        "bd8854c20dc4ab257ec72c2fbdba1a06e6b99c5e",
     ),
     "pa-kernel-150": (
         lambda: kernel_square(preferential_attachment(150, 3, 2)),
         60,
         (21, 60, [46, 53, 60, 74, 78, 83, 96, 98, 99, 103, 108, 109, 110, 117, 118, 119,
                   124, 125, 128, 136, 138]),
-        "9dc7dc08b9ecc0ecf942b450528b3986cdf62875",
+        "4b03b55c11b306bf4d61087b1d81485c77b6a8fd",
     ),
     "geometric-kernel": (
         lambda: kernel_square(random_geometric(500, 0.08, 11)),
         60,
-        (39, 60, [3, 7, 8, 10, 13, 14, 15, 16, 17, 18, 19, 24, 31, 32, 37, 38, 42, 44,
-                  49, 50, 60, 61, 62, 65, 67, 72, 75, 77, 78, 82, 92, 94, 98, 101, 102,
-                  113, 115, 141, 145]),
-        "0317079328db4c4951d46ce35273ba07bd7e6b7c",
+        (39, 60, [3, 7, 8, 13, 14, 15, 16, 17, 18, 19, 24, 31, 32, 37, 38, 42, 44, 49,
+                  50, 59, 60, 61, 62, 65, 67, 72, 75, 77, 78, 82, 92, 94, 98, 101, 102,
+                  115, 130, 141, 145]),
+        "ea5f765f8bc61c17d0d6db39d30dc877957b86ee",
     ),
 }
 
 
 @contextmanager
 def recorded_swaps() -> Iterator[list[tuple[int, int]]]:
-    """Record the (before, after) masks of every swap ``_swap_pass`` makes
-    while the block runs, in order."""
-    swap_pass = twopack.mis._swap_pass
+    """Record the (before, after) masks of every (1,2)-swap, the ``_move``
+    that takes one member out and two vertices in, while the block runs, in
+    order."""
+    move = twopack.mis._move
     swaps: list[tuple[int, int]] = []
 
-    def recording(nb: list[int], sol: int, rng: Random) -> tuple[int, bool]:
-        swapped, improved = swap_pass(nb, sol, rng)
-        if improved:
-            swaps.append((sol, swapped))
-        return swapped, improved
+    def recording(adjacency, nb, sol, tight, out, into, stack):
+        moved = move(adjacency, nb, sol, tight, out, into, stack)
+        if len(out) == 1 and len(into) == 2:
+            swaps.append((sol, moved[0]))
+        return moved
 
-    twopack.mis._swap_pass = recording
+    twopack.mis._move = recording
     try:
         yield swaps
     finally:
-        twopack.mis._swap_pass = swap_pass
+        twopack.mis._move = move
 
 
-# -- reference local search ------------------------------------------------------
+# -- the incremental local search against brute force ----------------------------
 
 
-def reference_maximalize(n: int, nb: list[int], sol: int, rng: Random) -> int:
-    """Reference _maximalize: free vertices found by testing every vertex."""
-    free = [v for v in range(n) if not sol >> v & 1 and nb[v] & sol == 0]
-    rng.shuffle(free)
-    for v in free:
-        if nb[v] & sol == 0:
-            sol |= 1 << v
-    return sol
-
-
-def reference_swap_pass(n: int, nb: list[int], sol: int, rng: Random) -> tuple[int, bool]:
-    """Reference _swap_pass: each member's 1-tight neighbours found one by one."""
-    members = [v for v in range(n) if sol >> v & 1]
-    rng.shuffle(members)
-    for v in members:
-        bit_v = 1 << v
-        candidates = []
-        others = nb[v]
-        while others:
-            low = others & -others
-            others ^= low
-            u = low.bit_length() - 1
-            if not sol >> u & 1 and nb[u] & sol == bit_v:
-                candidates.append(u)
-        for i, u1 in enumerate(candidates):
-            for u2 in candidates[i + 1 :]:
+def has_swap(n: int, nb: list[int], sol: int) -> bool:
+    """Brute force: some member has two non-adjacent neighbours whose only
+    solution neighbour it is."""
+    for x in range(n):
+        if not sol >> x & 1:
+            continue
+        tight1 = [w for w in range(n) if nb[x] >> w & 1 and nb[w] & sol == 1 << x]
+        for i, u1 in enumerate(tight1):
+            for u2 in tight1[i + 1 :]:
                 if not nb[u1] >> u2 & 1:
-                    return (sol & ~bit_v) | (1 << u1) | (1 << u2), True
-    return sol, False
+                    return True
+    return False
+
+
+def free_vertices(n: int, nb: list[int], sol: int) -> list[int]:
+    return [v for v in range(n) if not sol >> v & 1 and nb[v] & sol == 0]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 40),
-    st.sampled_from([0.08, 0.15, 0.3, 0.5]),
+    st.sampled_from([0.03, 0.06, 0.1, 0.2]),
     st.integers(0, 10**6),
     st.integers(0, 10**6),
-    st.sampled_from([0.1, 0.3, 0.6]),
-    st.booleans(),
+    st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+    st.integers(0, 6),
 )
-def test_local_search_matches_reference(n, p, seed, pick_seed, density, independent):
-    """_maximalize and _swap_pass return the same mask and leave the generator
-    in the same state as the reference bodies, on independent sets and on
-    arbitrary vertex sets."""
-    nb = twopack.mis._adjacency_masks(as_square(gnp_graph(n, p, seed)))
+def test_settle_reaches_a_swap_free_local_optimum(n, p, seed, pick_seed, density, rounds):
+    """From a random independent set, and after each random perturbation,
+    the settled set is independent, maximal and has no (1,2)-swap that brute
+    force finds; the solution-neighbour counts equal a recount, a
+    perturbation returns exactly the vertices it left free, and a run from
+    the same seed leaves the generator in the same state."""
+    sq = square(TwoLevelGraph(gnp_graph(n, p, seed)))
+    adjacency, nb = sq.adjacency, twopack.mis._adjacency_masks(sq)
     picker = Random(pick_seed)
-    sol = 0
+    start: list[int] = []
     for v in range(n):
-        if picker.random() < density and not (independent and nb[v] & sol):
-            sol |= 1 << v
-    got_rng, want_rng = Random(pick_seed), Random(pick_seed)
-    assert twopack.mis._maximalize(n, nb, sol, got_rng) == reference_maximalize(
-        n, nb, sol, want_rng
-    )
-    assert got_rng.getstate() == want_rng.getstate()
-    got = twopack.mis._swap_pass(nb, sol, got_rng)
-    assert got == reference_swap_pass(n, nb, sol, want_rng)
-    assert got_rng.getstate() == want_rng.getstate()
+        if picker.random() < density and not any(nb[v] >> u & 1 for u in start):
+            start.append(v)
+
+    def run() -> tuple[list[int], tuple]:
+        rng = Random(pick_seed)
+        tight = [0] * n
+        stack: list[int] = []
+        sol, _ = twopack.mis._move(adjacency, nb, 0, tight, [], start, stack)
+        free = free_vertices(n, nb, sol)
+        settled = []
+        for r in range(rounds + 1):
+            if r:
+                if sol == (1 << n) - 1:
+                    break
+                sol, free = twopack.mis._perturb(adjacency, nb, sol, tight, stack, rng)
+                assert free == free_vertices(n, nb, sol)
+            sol = twopack.mis._settle(adjacency, nb, sol, tight, free, stack, rng)
+            assert not stack
+            assert tight == [(nb[v] & sol).bit_count() for v in range(n)]
+            assert all(nb[v] & sol == 0 for v in range(n) if sol >> v & 1)
+            assert free_vertices(n, nb, sol) == []
+            assert not has_swap(n, nb, sol)
+            settled.append(sol)
+        return settled, rng.getstate()
+
+    assert run() == run()
 
 
 @settings(max_examples=100, deadline=None)
@@ -437,6 +446,22 @@ def test_empty_square_is_proven_without_budget(solver, seconds):
     assert (res.vertices, res.size, res.proven_optimal, res.nodes_explored) == (frozenset(), 0, True, 0)
 
 
+@pytest.fixture
+def step_clock(monkeypatch) -> list[float]:
+    """A clock for ``twopack.mis`` that advances one second per reading;
+    the readings so far, in order."""
+    readings: list[float] = []
+
+    class StepClock:
+        @staticmethod
+        def perf_counter() -> float:
+            readings.append(float(len(readings)))
+            return readings[-1]
+
+    monkeypatch.setattr(twopack.mis, "time", StepClock)
+    return readings
+
+
 class TestExact:
     def test_k3(self):
         res = exact_mis(as_square(complete_graph(3)), LONG)
@@ -484,18 +509,10 @@ class TestExact:
         assert not res.proven_optimal
         assert res.nodes_explored == max_nodes
 
-    def test_deadline_checked_at_every_node(self, monkeypatch):
+    def test_deadline_checked_at_every_node(self, step_clock):
         """Under a clock that advances one second per reading, the search
         stops at the first node whose clock reading reaches the deadline."""
-        readings: list[float] = []
-
-        class StepClock:
-            @staticmethod
-            def perf_counter() -> float:
-                readings.append(float(len(readings)))
-                return readings[-1]
-
-        monkeypatch.setattr(twopack.mis, "time", StepClock)
+        readings = step_clock
         # needs a few hundred nodes to prove, so the 40 s deadline must stop it
         res = exact_mis(as_square(gnp_graph(60, 0.2, 0)), Deadline(seconds=40.0))
         assert not res.proven_optimal
@@ -560,7 +577,7 @@ class TestHeuristic:
         def no_local_search(*args):
             raise AssertionError("local search run with no budget left")
 
-        monkeypatch.setattr(twopack.mis, "_local_optimum", no_local_search)
+        monkeypatch.setattr(twopack.mis, "_settle", no_local_search)
         sq = square(TwoLevelGraph(gnp_graph(40, 0.08, 3)))
         for seconds in (0.0, -1.0):
             res = heuristic_mis(sq, Deadline(seconds=seconds))
@@ -568,6 +585,26 @@ class TestHeuristic:
             assert res.size == len(res.vertices) > 0
             assert_independent(sq, res.vertices)
             assert_maximal(sq, res.vertices)
+
+    def test_deadline_checked_at_every_iteration(self, step_clock):
+        """Under a clock that advances one second per reading, the search
+        reads it once per iteration after its warm start, and once more per
+        new best, and stops at the first reading that reaches the deadline."""
+        readings = step_clock
+        sq = as_square(gnp_graph(60, 0.2, 0))
+        warm = heuristic_mis(sq, Deadline(seconds=40.0, max_nodes=0))
+        readings.clear()
+        # Its optimum, 16, is below the root cover bound, so no proof stops it.
+        res = heuristic_mis(sq, Deadline(seconds=40.0))
+        assert not res.proven_optimal
+        # Readings: start, warm-start time to best, one per iteration (plus
+        # one per new best), then the elapsed time.  The reading 40.0 is the
+        # check that stopped the search; 38 readings came between.
+        assert readings[-2] == 40.0
+        assert res.elapsed == readings[-1]
+        assert res.time_to_best in readings
+        new_bests = res.size - warm.size
+        assert 38 - new_bests <= res.nodes_explored <= 38
 
     def test_square_c6_finds_antipodal_pair(self):
         sq = square(TwoLevelGraph(cycle_graph(6)))
