@@ -9,7 +9,10 @@ neighbours (free at 0, 1-tight at 1) and a stack of candidate members whose
 1-tight neighbourhood may hold a swap, so each move touches only the
 neighbourhoods it changes; its perturbation picks the vertex to force in by
 rejection sampling.  Both start from one maximal set, built by first fit in
-ascending degree order and taken to a local optimum.
+ascending label order and taken to a local optimum.  Both search in the
+square's own labels, which ``square`` gives in cover order, ascending
+``(degree, original ID)``, and share the neighbour masks the square builds
+once (``SquareGraph.masks``).
 All randomness flows from a single seed; with a node budget instead of a wall
 clock, runs are bit-identical.
 """
@@ -29,8 +32,8 @@ class Deadline:
     """Cooperative stopping rule: a wall-clock budget and an optional node budget.
 
     The solvers read the clock at every branch-and-bound node or local-search
-    iteration, so past their warm start (first fit in ascending degree order,
-    O(n log n + m), then one local optimum) they overrun ``seconds`` by at
+    iteration, so past their warm start (first fit in ascending label order,
+    O(n + m), then one local optimum) they overrun ``seconds`` by at
     most one node or iteration.  ``heuristic_mis`` states what the warm
     start does and what a call with no budget left returns; ``exact_mis``
     starts from that answer, so both rules hold for both solvers.
@@ -50,13 +53,6 @@ class MisResult:
     nodes_explored: int
     elapsed: float
     time_to_best: float
-
-
-def _adjacency_masks(sq: SquareGraph) -> list[int]:
-    """Each vertex's neighbours as a mask: a row's bits are distinct, so their
-    sum, taken at C speed, is their union."""
-    bit = [1 << v for v in range(sq.n)]
-    return [sum(map(bit.__getitem__, row)) for row in sq.adjacency]
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -80,19 +76,14 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 # -- construction and local search ---------------------------------------------
 
 
-def _cover_order(sq: SquareGraph) -> list[int]:
-    """The square's vertices in cover order, ``(degree, index)`` ascending."""
-    adjacency = sq.adjacency
-    return sorted(range(sq.n), key=lambda v: (len(adjacency[v]), v))
-
-
 def _first_fit(sq: SquareGraph) -> list[int]:
-    """Maximal independent set by first fit in ascending degree order: each
-    vertex, in cover order, joins unless a neighbour already has.  O(n log n +
-    m) and no randomness."""
+    """Maximal independent set by first fit in label order: each vertex, in
+    ascending label, joins unless a neighbour already has.  On a square built
+    by ``square`` that is ascending degree order.  O(n + m) and no
+    randomness."""
     blocked = [False] * sq.n
     chosen = []
-    for v in _cover_order(sq):
+    for v in range(sq.n):
         if not blocked[v]:
             chosen.append(v)
             for w in sq.adjacency[v]:
@@ -228,7 +219,7 @@ def heuristic_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResu
     iteration, the root clique cover of ``exact_mis``.  The search stops as
     soon as its best meets the bound, so a call that runs no iteration
     (``max_nodes=0`` or no time left) never builds the cover.  The warm
-    start, first fit in ascending degree order settled from all its
+    start, first fit in ascending label order settled from all its
     members, never reads the clock and runs to completion however little
     budget is left.  After it the clock is read once per iteration, and
     once more for each new best.  With no budget left at the call
@@ -246,7 +237,7 @@ def heuristic_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResu
         return MisResult(frozenset(chosen), len(chosen), False, 0, elapsed, elapsed)
     rng = Random(seed)
     adjacency = sq.adjacency
-    nb = _adjacency_masks(sq)
+    nb = sq.masks
     tight = [0] * n
     stack: list[int] = []
     sol, free = _move(adjacency, nb, 0, tight, [], chosen, stack)
@@ -264,7 +255,7 @@ def heuristic_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResu
             break
         if iters == 0:
             # Only a run that would iterate pays for the root cover bound.
-            bound = len(_clique_cover((1 << n) - 1, _cover_ordered_masks(sq)[2]))
+            bound = len(_clique_cover((1 << n) - 1, nb))
             if best_size >= bound:
                 break
         iters += 1
@@ -289,27 +280,15 @@ def heuristic_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResu
 # -- exact branch and bound ----------------------------------------------------
 
 
-def _cover_ordered_masks(sq: SquareGraph) -> tuple[list[int], list[int], list[int]]:
-    """Renumber the square's vertices in cover order, ``(degree, index)``
-    ascending: ``order[r]`` is the vertex of rank ``r``, ``rank[v]`` the rank
-    of vertex ``v``, and ``nb[r]`` the mask of rank ``r``'s neighbours' ranks."""
-    adjacency = sq.adjacency
-    order = _cover_order(sq)
-    rank = [0] * sq.n
-    for r, v in enumerate(order):
-        rank[v] = r
-    bit = [1 << r for r in rank]
-    return order, rank, [sum(map(bit.__getitem__, adjacency[v])) for v in order]
-
-
 def _clique_cover(alive: int, nb: list[int]) -> list[int]:
     """Greedy clique cover of the residual graph, as one member mask per
     clique; its length bounds the MIS.
 
     Each clique starts at the lowest alive vertex and takes, lowest first,
-    every vertex adjacent to all members so far: on cover-ordered labels, the
-    cliques of sequential first-fit over the cover order, built a class at a
-    time (San Segundo et al., C&OR 38, 2011).
+    every vertex adjacent to all members so far: the cliques of sequential
+    first-fit over ascending labels, built a class at a time (San Segundo et
+    al., C&OR 38, 2011).  On a square built by ``square`` the labels are in
+    cover order, ``(degree, original ID)`` ascending.
     """
     cliques: list[int] = []
     while alive:
@@ -331,18 +310,19 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
     then covers the residual graph with greedy cliques and prunes when the
     chosen vertices plus the clique count cannot beat the incumbent.
     Otherwise it branches on a vertex outside the first ``best - size``
-    cliques, the one with the most alive neighbours (lowest cover rank on
-    ties), as MCS does (Tomita et al., WALCOM 2010).  The initial incumbent
+    cliques, the one with the most alive neighbours (lowest label on ties),
+    as MCS does (Tomita et al., WALCOM 2010).  The initial incumbent
     is the answer of ``heuristic_mis`` with no iterations (``max_nodes=0``):
-    first fit in ascending degree order taken to a local optimum, or that
+    first fit in ascending label order taken to a local optimum, or that
     first fit alone when no budget is left; when that answer is proven
     (an empty or edgeless square) or no budget is left, it is returned as it
-    is.  The search then runs on vertices renumbered once in cover order,
-    ``(degree, index)`` ascending, so each clique of the cover is built a
-    class at a time; the answer is mapped back.  ``nodes_explored`` counts
-    the nodes that passed the clock and node-budget checks, so a node-budget
-    abort reports exactly ``deadline.max_nodes``.  When the deadline expires
-    the best solution found so far is returned unproven.
+    is.  The search runs in the square's own labels, on the masks the warm
+    start built; ``square`` numbers them in cover order, ``(degree, original
+    ID)`` ascending, so each clique of the cover is built a class at a time.
+    ``nodes_explored`` counts the nodes that passed the clock and node-budget
+    checks, so a node-budget abort reports exactly ``deadline.max_nodes``.
+    When the deadline expires the best solution found so far is returned
+    unproven.
     """
     start = time.perf_counter()
     warm = heuristic_mis(sq, replace(deadline, max_nodes=0), seed)
@@ -351,11 +331,10 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
     best = warm.size
     time_to_best = warm.time_to_best
 
-    # From here on, every mask is in cover ranks.
-    order, rank, nb = _cover_ordered_masks(sq)
+    nb = sq.masks
     best_mask = 0
     for v in warm.vertices:
-        best_mask |= 1 << rank[v]
+        best_mask |= 1 << v
     full = (1 << sq.n) - 1
     t_end = start + deadline.seconds
     stack: list[tuple[int, int]] = [(full, 0)]
@@ -421,10 +400,10 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
         stack.append((alive & ~bit, chosen))
         stack.append((alive & ~(nb[branch_v] | bit), chosen | bit))
 
-    ranks = _bits(best_mask)
-    assert all(nb[r] & best_mask == 0 for r in ranks)
+    answer = _bits(best_mask)
+    assert all(nb[v] & best_mask == 0 for v in answer)
     return MisResult(
-        vertices=frozenset(order[r] for r in ranks),
+        vertices=frozenset(answer),
         size=best,
         proven_optimal=not aborted,
         nodes_explored=nodes,

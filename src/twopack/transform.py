@@ -2,12 +2,15 @@
 
 A maximum independent set of the square graph is a maximum 2-packing set of
 the instance the square was built from, so the reduced graph can be handed
-to any independent-set solver.
+to any independent-set solver.  ``square`` numbers the square's vertices in
+the order the MIS back ends search them, ascending ``(degree, original ID)``,
+so they work in the square's own labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .graph import TwoLevelGraph
@@ -27,7 +30,10 @@ class SquareGraph:
     """Immutable conflict graph over densely re-indexed vertices.
 
     ``to_original[i]`` maps dense vertex ``i`` back to its ID in the input
-    graph; for squares of unreduced graphs the mapping is the identity.
+    graph.  ``square`` gives the dense IDs in cover order, ``(degree,
+    original ID)`` ascending, so even for an unreduced graph the mapping is a
+    permutation, not the identity; ``from_adjacency`` keeps the caller's
+    labels.
     """
 
     n: int
@@ -50,17 +56,24 @@ class SquareGraph:
     def original_ids(self, dense: Iterable[int]) -> set[int]:
         return {self.to_original[i] for i in dense}
 
+    @cached_property
+    def masks(self) -> list[int]:
+        """Each vertex's neighbours as a mask, built on first use and kept
+        with the square: a row's bits are distinct, so their sum, taken at C
+        speed, is their union."""
+        bit = [1 << v for v in range(self.n)]
+        return [sum(map(bit.__getitem__, row)) for row in self.adjacency]
+
 
 def square(g: TwoLevelGraph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> SquareGraph:
     """Build the square graph of the active part of a two-level graph.
 
     Forces materialization of every remaining 2-neighborhood, then merges
-    both edge levels into one adjacency structure over dense IDs.  Raises
-    EdgeCapExceeded once the number of square edges passes ``edge_cap``.
+    both edge levels into one adjacency structure over dense IDs, numbered
+    in ascending ``(degree, original ID)`` order.  Raises EdgeCapExceeded
+    once the number of square edges passes ``edge_cap``.
     """
     active = g.active_vertices()
-    dense = {orig: i for i, orig in enumerate(active)}
-    rows: list[list[int]] = []
     directed = 0
     # Read in place (see TwoLevelGraph): every row belongs to an active vertex.
     closed, materialized = g._closed, g._materialized
@@ -70,5 +83,8 @@ def square(g: TwoLevelGraph, *, edge_cap: int = DEFAULT_EDGE_CAP) -> SquareGraph
         directed += len(closed[orig]) - 1
         if directed // 2 > edge_cap:
             raise EdgeCapExceeded(directed // 2, edge_cap)
-        rows.append([dense[w] for w in closed[orig] if w != orig])
+    # Stable, so equal degrees stay in ascending original ID.
+    active.sort(key=lambda v: len(closed[v]))
+    dense = {orig: i for i, orig in enumerate(active)}
+    rows = [[dense[w] for w in closed[orig] if w != orig] for orig in active]
     return SquareGraph.from_adjacency(rows, active)

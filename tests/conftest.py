@@ -90,8 +90,12 @@ def induced_square_subgraph(g: StaticGraph, active: list[int]) -> SquareGraph:
 
 
 def square_edges(sq: SquareGraph) -> set[tuple[int, int]]:
-    """The square's edges as (u, v) pairs with u < v."""
-    return {(u, v) for u in range(sq.n) for v in sq.adjacency[u] if u < v}
+    """The square's edges as (u, v) pairs of original IDs with u < v, so
+    squares compare whatever order their dense IDs are in."""
+    ids = sq.to_original
+    return {
+        (min(ids[u], ids[v]), max(ids[u], ids[v])) for u in range(sq.n) for v in sq.adjacency[u]
+    }
 
 
 def _named_corpus() -> list[tuple[str, StaticGraph]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
+from functools import cached_property
 from random import Random
 from typing import Iterator
 
@@ -59,14 +60,14 @@ def kernel_square(g: StaticGraph) -> SquareGraph:
     return square(reduce(g, ReductionVariant.ELABORATED).graph)
 
 
-# name -> (square, max_nodes, (size, nodes_explored, sorted vertices)) of
-# exact_mis with seed 1, recorded with branching restricted to the cliques past
-# the first best - size of the cover, with a node counted only once it passes
-# the clock and budget checks, with the search on cover-ordered labels and no
-# in-node domination pass, and with the warm start built by first fit in
-# ascending degree order and settled by the incremental local search.  The
-# two "abort" searches stop at the node budget; the others finish with a
-# proof.
+# name -> (square, max_nodes, (size, nodes_explored, sorted original IDs of
+# the answer)) of exact_mis with seed 1, recorded with branching restricted to
+# the cliques past the first best - size of the cover, with a node counted only
+# once it passes the clock and budget checks, with the search in the square's
+# own labels, which ``square`` numbers in cover order, and no in-node
+# domination pass, and with the warm start built by first fit in ascending
+# degree order and settled by the incremental local search.  The two "abort"
+# searches stop at the node budget; the others finish with a proof.
 PINNED_SEARCHES = {
     "gnp-square": (
         lambda: square(TwoLevelGraph(gnp_graph(150, 0.025, 17))),
@@ -78,82 +79,83 @@ PINNED_SEARCHES = {
     "gnp-square-abort": (
         lambda: square(TwoLevelGraph(gnp_graph(120, 0.035, 3))),
         150,
-        (26, 150, [10, 11, 14, 19, 26, 38, 43, 46, 49, 50, 58, 59, 60, 67, 69, 70, 71,
-                   73, 79, 82, 95, 103, 105, 108, 118, 119]),
+        (26, 150, [10, 11, 19, 26, 38, 43, 46, 49, 50, 58, 59, 60, 67, 69, 70, 71, 73, 79,
+                   82, 95, 103, 105, 108, 115, 118, 119]),
     ),
     "gnp-kernel": (
         lambda: kernel_square(gnp_graph(100, 0.04, 9)),
         2000,
-        (15, 5, [5, 6, 10, 11, 17, 21, 22, 23, 26, 29, 37, 38, 42, 45, 48]),
+        (15, 5, [13, 14, 21, 22, 34, 40, 43, 47, 54, 58, 73, 74, 79, 84, 89]),
     ),
     "pa-kernel-60": (
         lambda: kernel_square(preferential_attachment(60, 3, 5)),
         2000,
-        (8, 17, [19, 22, 25, 28, 29, 32, 34, 43]),
+        (8, 17, [35, 38, 41, 44, 45, 48, 50, 59]),
     ),
     "pa-kernel-90": (
         lambda: kernel_square(preferential_attachment(90, 3, 1)),
         2000,
-        (11, 173, [29, 38, 45, 46, 47, 50, 55, 59, 63, 64, 66]),
+        (11, 173, [49, 60, 67, 68, 69, 73, 78, 82, 86, 87, 89]),
     ),
     "pa-kernel-150-abort": (
         lambda: kernel_square(preferential_attachment(150, 3, 2)),
         20,
-        (20, 20, [20, 74, 76, 82, 96, 98, 99, 102, 109, 110, 117, 119, 122, 123, 125,
-                  128, 132, 136, 137, 138]),
+        (20, 20, [30, 85, 87, 93, 107, 109, 110, 113, 120, 121, 128, 130, 133, 134, 136,
+                  139, 143, 147, 148, 149]),
     ),
 }
 
 
-# name -> (square, max_nodes, (size, nodes_explored, sorted vertices), SHA-1 of
-# the (before, after) masks of every accepted swap, as ``recorded_swaps``
-# lists them) of heuristic_mis with seed 1, recorded with the incremental
-# local search (solution-neighbour counts, a candidate stack and perturbation
-# by rejection sampling) and the warm start built by first fit in ascending
-# degree order.
+# name -> (square, max_nodes, (size, nodes_explored, sorted original IDs of
+# the answer), SHA-1 of the (before, after) masks of every accepted swap, as
+# ``recorded_swaps`` lists them) of heuristic_mis with seed 1, recorded with
+# the incremental local search (solution-neighbour counts, a candidate stack
+# and perturbation by rejection sampling) in the square's own labels, which
+# ``square`` numbers in cover order, and the warm start built by first fit in
+# ascending degree order.
 PINNED_ILS = {
     "gnp-square": (
         lambda: square(TwoLevelGraph(gnp_graph(150, 0.025, 17))),
         60,
-        (39, 60, [10, 16, 18, 20, 21, 27, 28, 30, 35, 37, 38, 44, 46, 53, 54, 63, 64,
-                  67, 68, 69, 75, 83, 87, 89, 91, 92, 102, 104, 107, 111, 112, 115, 116,
-                  123, 125, 128, 135, 141, 143]),
-        "0c91baa9a56e25d937265d803ab09f0bf4550be4",
+        (39, 60, [10, 14, 18, 20, 21, 23, 26, 27, 28, 30, 31, 35, 38, 44, 46, 53, 63, 64,
+                  67, 69, 75, 83, 87, 89, 91, 102, 104, 107, 108, 111, 112, 116, 123, 125,
+                  128, 132, 135, 141, 143]),
+        "9581525c1cbf3271c7c37db3f1daef6e017860bd",
     ),
     "gnp-square-dense": (
         lambda: square(TwoLevelGraph(gnp_graph(120, 0.05, 3))),
         60,
-        (20, 60, [3, 6, 10, 22, 49, 50, 59, 60, 69, 80, 81, 82, 84, 95, 103, 105, 110,
-                  112, 117, 118]),
-        "50ebf35d87cd902fc842555e13ca6a364632f5ca",
+        (20, 60, [3, 6, 10, 22, 38, 49, 50, 57, 59, 60, 69, 80, 81, 82, 84, 95, 103, 112,
+                  117, 118]),
+        "b73048a98d2d71c0dafcef3d3490e34d967ddea8",
     ),
     "gnp-kernel": (
         lambda: kernel_square(gnp_graph(200, 0.03, 9)),
         60,
-        (27, 60, [2, 5, 10, 13, 25, 28, 34, 41, 51, 53, 65, 69, 71, 78, 90, 93, 105,
-                  112, 120, 125, 126, 128, 136, 144, 145, 163, 175]),
-        "ed7de36fa4860779592e53a2ea2d1cbb07084b50",
+        (27, 60, [6, 10, 15, 25, 29, 32, 57, 58, 74, 77, 78, 86, 88, 90, 96, 102, 108,
+                  126, 133, 138, 141, 145, 160, 161, 180, 181, 194]),
+        "757f3f4dd61cb23fa0e1834d1f9c9d7769a7e63b",
     ),
     "pa-kernel-90": (
         lambda: kernel_square(preferential_attachment(90, 3, 1)),
         60,
-        (11, 60, [29, 38, 45, 46, 47, 50, 55, 59, 63, 64, 66]),
-        "bd8854c20dc4ab257ec72c2fbdba1a06e6b99c5e",
+        (11, 60, [49, 60, 67, 68, 69, 73, 78, 82, 86, 87, 89]),
+        "57218a59b7a3b9380a6d66bb0c0d728a28231881",
     ),
     "pa-kernel-150": (
         lambda: kernel_square(preferential_attachment(150, 3, 2)),
         60,
-        (21, 60, [46, 53, 60, 74, 78, 83, 96, 98, 99, 103, 108, 109, 110, 117, 118, 119,
-                  124, 125, 128, 136, 138]),
-        "4b03b55c11b306bf4d61087b1d81485c77b6a8fd",
+        (21, 60, [57, 64, 85, 89, 94, 107, 109, 110, 113, 114, 119, 120, 121, 128, 129,
+                  130, 135, 136, 139, 147, 149]),
+        "6a0f48fe6302594c742e69228ae0a49853265441",
     ),
     "geometric-kernel": (
         lambda: kernel_square(random_geometric(500, 0.08, 11)),
         60,
-        (39, 60, [3, 7, 8, 13, 14, 15, 16, 17, 18, 19, 24, 31, 32, 37, 38, 42, 44, 49,
-                  50, 59, 60, 61, 62, 65, 67, 72, 75, 77, 78, 82, 92, 94, 98, 101, 102,
-                  115, 130, 141, 145]),
-        "ea5f765f8bc61c17d0d6db39d30dc877957b86ee",
+        (39, 60, [13, 17, 18, 27, 31, 34, 39, 41, 44, 66, 74, 88, 91, 98, 100, 115, 145,
+                  147, 167, 169, 187, 191, 193, 204, 206, 223, 257, 283, 291, 292, 294,
+                  307, 314, 320, 321, 324, 371, 425, 451]),
+        "ce00dd56606dba4f8d4cc2f1a3a4b15c0d5c512a",
     ),
 }
 
@@ -216,7 +218,7 @@ def test_settle_reaches_a_swap_free_local_optimum(n, p, seed, pick_seed, density
     perturbation returns exactly the vertices it left free, and a run from
     the same seed leaves the generator in the same state."""
     sq = square(TwoLevelGraph(gnp_graph(n, p, seed)))
-    adjacency, nb = sq.adjacency, twopack.mis._adjacency_masks(sq)
+    adjacency, nb = sq.adjacency, sq.masks
     picker = Random(pick_seed)
     start: list[int] = []
     for v in range(n):
@@ -253,21 +255,17 @@ def test_settle_reaches_a_swap_free_local_optimum(n, p, seed, pick_seed, density
 @example(12, 0.0, 0)
 @given(st.integers(0, 40), st.sampled_from([0.0, 0.05, 0.15, 0.4]), st.integers(0, 10**6))
 def test_mask_builders_match_bitwise_reference(n, p, seed):
-    """Both mask builders equal masks ORed together one bit at a time, on the
+    """The square's masks equal masks ORed together one bit at a time, on the
     empty square and with isolated vertices too."""
     sq = as_square(gnp_graph(n, p, seed))
-    order = sorted(range(n), key=lambda v: (len(sq.adjacency[v]), v))
-    rank = {v: r for r, v in enumerate(order)}
-    want, want_ranked = [0] * n, [0] * n
+    want = [0] * n
     for v in range(n):
         for w in sq.adjacency[v]:
             want[v] |= 1 << w
-            want_ranked[rank[v]] |= 1 << rank[w]
-    assert twopack.mis._adjacency_masks(sq) == want
-    assert twopack.mis._cover_ordered_masks(sq) == (order, [rank[v] for v in range(n)], want_ranked)
+    assert sq.masks == want
 
 
-# -- reference clique cover and relabelling --------------------------------------
+# -- reference clique cover ----------------------------------------------------
 
 
 def reference_clique_cover(alive: int, nb: list[int], order: list[int]) -> list[int]:
@@ -302,30 +300,23 @@ def mask_of(vertices) -> int:
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 40),
-    st.sampled_from([0.08, 0.15, 0.3, 0.5, 0.8]),
+    st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.4]),
     st.integers(0, 10**6),
     st.integers(0, 10**6),
     st.sampled_from([0.3, 0.7, 1.0]),
 )
 def test_clique_cover_matches_sequential_first_fit(n, p, seed, alive_seed, density):
-    """On cover-ordered labels, the class-at-a-time cover mapped back is the
-    sequential first-fit cover over the cover order, clique for clique; each
-    is a clique and together they partition the alive vertices."""
-    sq = as_square(gnp_graph(n, p, seed))
-    nb = twopack.mis._adjacency_masks(sq)
+    """On a square built by ``square``, the class-at-a-time cover is the
+    sequential first-fit cover over the cover order, ``(degree, label)``
+    ascending, clique for clique; each is a clique and together they
+    partition the alive vertices."""
+    sq = square(TwoLevelGraph(gnp_graph(n, p, seed)))
+    nb = sq.masks
     bits = twopack.mis._bits
-    order, rank, ranked = twopack.mis._cover_ordered_masks(sq)
-
-    def in_square_labels(mask: int) -> int:
-        return mask_of(order[r] for r in bits(mask))
-
-    assert order == sorted(range(n), key=lambda v: (nb[v].bit_count(), v))
-    assert all(order[rank[v]] == v for v in range(n))
-    assert all(in_square_labels(ranked[rank[v]]) == nb[v] for v in range(n))
+    order = sorted(range(n), key=lambda v: (nb[v].bit_count(), v))
     picker = Random(alive_seed)
     alive = mask_of(v for v in range(n) if picker.random() < density)
-    got = twopack.mis._clique_cover(mask_of(rank[v] for v in bits(alive)), ranked)
-    cliques = [in_square_labels(clique) for clique in got]
+    cliques = twopack.mis._clique_cover(alive, nb)
     assert cliques == reference_clique_cover(alive, nb, order)
     covered = 0
     for clique in cliques:
@@ -397,13 +388,13 @@ def reference_first_fit(sq: SquareGraph) -> list[int]:
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 40),
-    st.sampled_from([0.0, 0.1, 0.2, 0.4]),
+    st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.2, 0.4]),
     st.integers(0, 10**6),
-    st.booleans(),
 )
-def test_first_fit_matches_reference(n, p, seed, squared):
-    g = gnp_graph(n, p, seed)
-    sq = square(TwoLevelGraph(g)) if squared else as_square(g)
+def test_first_fit_matches_reference(n, p, seed):
+    """On a square built by ``square``, first fit in label order is first
+    fit in ascending ``(degree, label)`` order."""
+    sq = square(TwoLevelGraph(gnp_graph(n, p, seed)))
     chosen = twopack.mis._first_fit(sq)
     assert chosen == reference_first_fit(sq)
     assert_independent(sq, chosen)
@@ -447,6 +438,38 @@ def test_empty_square_is_proven_without_budget(solver, seconds):
 
 
 @pytest.fixture
+def mask_builds(monkeypatch) -> list[int]:
+    """Count the builds of ``SquareGraph.masks``: the size of each square
+    whose masks were built, in order."""
+    build = SquareGraph.masks.func
+    builds: list[int] = []
+
+    def counting(sq: SquareGraph) -> list[int]:
+        builds.append(sq.n)
+        return build(sq)
+
+    masks = cached_property(counting)
+    masks.__set_name__(SquareGraph, "masks")
+    monkeypatch.setattr(SquareGraph, "masks", masks)
+    return builds
+
+
+def test_masks_built_once_per_solve(mask_builds):
+    """The warm start, the root cover bound, the local search and the B&B
+    share one build of the square's masks; a call with no budget left
+    builds none."""
+    make = PINNED_SEARCHES["gnp-kernel"][0]
+    exact_mis(make(), LONG, seed=1)
+    assert len(mask_builds) == 1
+    heuristic_mis(make(), Deadline(seconds=30.0, max_nodes=5), seed=1)
+    assert len(mask_builds) == 2
+    for seconds in (0.0, -1.0):
+        for solver in (exact_mis, heuristic_mis):
+            solver(make(), Deadline(seconds=seconds), seed=1)
+    assert len(mask_builds) == 2
+
+
+@pytest.fixture
 def step_clock(monkeypatch) -> list[float]:
     """A clock for ``twopack.mis`` that advances one second per reading;
     the readings so far, in order."""
@@ -468,9 +491,10 @@ class TestExact:
         assert res.size == 1 and res.proven_optimal
 
     def test_square_p5(self):
-        res = exact_mis(square(TwoLevelGraph(path_graph(5))), LONG)
+        sq = square(TwoLevelGraph(path_graph(5)))
+        res = exact_mis(sq, LONG)
         assert res.size == 2 and res.proven_optimal
-        assert res.vertices in ({0, 3}, {0, 4}, {1, 4})
+        assert sq.original_ids(res.vertices) in ({0, 3}, {0, 4}, {1, 4})
 
     def test_square_c9(self):
         res = exact_mis(square(TwoLevelGraph(cycle_graph(9))), LONG)
@@ -560,8 +584,9 @@ class TestExact:
         vertices, covers with the same cliques and branches on the same
         vertices, in the same order."""
         make, max_nodes, pinned = PINNED_SEARCHES[name]
-        res = exact_mis(make(), Deadline(seconds=600.0, max_nodes=max_nodes), seed=1)
-        assert (res.size, res.nodes_explored, sorted(res.vertices)) == pinned
+        sq = make()
+        res = exact_mis(sq, Deadline(seconds=600.0, max_nodes=max_nodes), seed=1)
+        assert (res.size, res.nodes_explored, sorted(sq.original_ids(res.vertices))) == pinned
 
 
 class TestHeuristic:
@@ -675,7 +700,8 @@ class TestHeuristic:
         those of the reference build: the local search follows the same
         trajectory, drawing the same random numbers."""
         make, max_nodes, pinned, digest = PINNED_ILS[name]
+        sq = make()
         with recorded_swaps() as swaps:
-            res = heuristic_mis(make(), Deadline(seconds=600.0, max_nodes=max_nodes), seed=1)
-        assert (res.size, res.nodes_explored, sorted(res.vertices)) == pinned
+            res = heuristic_mis(sq, Deadline(seconds=600.0, max_nodes=max_nodes), seed=1)
+        assert (res.size, res.nodes_explored, sorted(sq.original_ids(res.vertices))) == pinned
         assert hashlib.sha1(repr(swaps).encode()).hexdigest() == digest
