@@ -261,24 +261,13 @@ _RULE_FUNCS: dict[ReductionKind, Callable[..., Optional[int]]] = {
     ReductionKind.DEG_ONE: try_deg_one,
 }
 
-# Degree window of each rule: (lowest, highest or None for unbounded).  Outside
-# its window a rule's probe reads only ``len(_one[v])`` and returns None, so
+# The one degree each degree rule admits; the other rules admit every degree.
+# At any other degree a probe reads only ``len(_one[v])`` and returns None, so
 # the scheduler never probes a vertex there.
-_DEGREE_WINDOWS: dict[ReductionKind, tuple[int, Optional[int]]] = {
-    ReductionKind.DOMINATION: (0, None),
-    ReductionKind.CLIQUE: (0, None),
-    ReductionKind.DEG_ZERO: (0, 0),
-    ReductionKind.DEG_ONE: (1, 1),
-}
+_RULE_DEGREE: dict[ReductionKind, int] = {ReductionKind.DEG_ZERO: 0, ReductionKind.DEG_ONE: 1}
 
-# Degrees at or above this bound fall in the same windows.
-_DEGREE_CAP = 1 + max(b for window in _DEGREE_WINDOWS.values() for b in window if b is not None)
-
-
-def _admits(kind: ReductionKind, degree: int) -> bool:
-    """Whether a probe of ``kind`` on a vertex of this degree can fire."""
-    lo, hi = _DEGREE_WINDOWS[kind]
-    return lo <= degree and (hi is None or degree <= hi)
+# Degrees at or above this bound are admitted by the same rules.
+_DEGREE_CAP = 1 + max(_RULE_DEGREE.values())
 
 
 def apply_rules_exhaustively(
@@ -289,52 +278,51 @@ def apply_rules_exhaustively(
 ) -> None:
     """Run the ordered rules to exhaustion, restarting after every application.
 
-    Each rule is tried on active vertices in ascending ID; the first success
-    restarts the schedule at the first rule.  Three kinds of work are
-    skipped, all because they would fail without touching the graph, so
-    the rule/vertex sequence is the one the plain restart policy fires:
+    One min-heap holds the pending (rule index, vertex) pairs, least rule
+    first, then least vertex: its top is the next unskipped probe of the
+    plain restart policy (each rule on active vertices in ascending ID, back
+    to the first rule after every success).  Three kinds of work are
+    skipped, all because they would fail without touching the graph, so the
+    rule/vertex sequence is the one the plain restart policy fires:
 
     * a probe that failed is not repeated until some vertex at conflict
       distance <= 2 of the probed vertex is removed: rule predicates depend
       only on that ball (conflicts between surviving pairs never change,
       neighborhoods only shrink);
-    * a rule is probed only on vertices whose degree lies in its degree
-      window (see ``_DEGREE_WINDOWS``).  Degrees only shrink, and a removal
-      that changes a vertex's degree has it in its ball, so a vertex is
-      queued for a rule when its degree enters the window; one whose degree
-      has dropped below the window since it was queued is popped unprobed;
+    * a degree rule is probed only on vertices of the degree it admits (see
+      ``_RULE_DEGREE``).  Degrees only shrink, and a removal that changes a
+      vertex's degree has it in its ball, so a pair is queued when the
+      vertex's degree reaches the rule's; one whose degree has dropped below
+      it since it was queued is popped unprobed;
     * a ``DOMINATION`` probe on a vertex whose last such probe failed scans
       only the candidates that some removal since then may have freed: it
       receives the intersection of those removals' balls, kept as they arrive
       (see ``try_domination``), so a re-probe costs one set difference.  Its
       materializations are those of a full probe.
 
-    Each rule keeps its pending vertices in a set and in a min-heap holding
-    the same vertices, so a restart resumes the ascending scan at the heap's
-    top instead of sorting the pending set.  Every vertex at the start, and
-    every vertex of a removal's ball, is queued by reading its degree once
-    and pushing it, if not pending already, to the rules whose window admits
-    that degree.  A failed probe pops its vertex; vertices removed from the
-    graph leave the heaps lazily, popped and skipped when they reach the top.
+    A set beside the heap holds the same pairs.  Every vertex at the start,
+    and every vertex of a removal's ball, is queued by reading its degree once
+    and pushing its missing pairs for the rules that admit that degree.  A
+    failed probe pops its pair and a firing leaves it in place; pairs of
+    removed vertices are popped unprobed when they reach the top.
     """
     order = tuple(rule_order)
-    if not order:
-        return
+    funcs = [_RULE_FUNCS[kind] for kind in order]
+    lowest = [_RULE_DEGREE.get(kind, 0) for kind in order]
+    domination = [kind is ReductionKind.DOMINATION for kind in order]
     one, status, active = g._one, g._status, VertexStatus.ACTIVE
-    queues = [(kind, _DEGREE_WINDOWS[kind][0], set(), []) for kind in order]
-    # Degree (capped) -> pending sets and heaps of the rules it may fire.
+    # A pair is the key k << shift | v.
+    shift = g.n.bit_length()
+    vertex_mask = (1 << shift) - 1
+    # Degree -> k << shift for the rules k that admit it.  Every degree from
+    # _DEGREE_CAP to n - 1 shares one list, so a degree indexes it uncapped.
     by_degree = [
-        [(pending, heap) for kind, _, pending, heap in queues if _admits(kind, d)]
+        [k << shift for k, kind in enumerate(order) if _RULE_DEGREE.get(kind, d) == d]
         for d in range(_DEGREE_CAP + 1)
     ]
-
-    def mark(vertices: Iterable[int]) -> None:
-        for x in vertices:
-            d = len(one[x])
-            for pending, heap in by_degree[d if d < _DEGREE_CAP else _DEGREE_CAP]:
-                if x not in pending:
-                    pending.add(x)
-                    heappush(heap, x)
+    by_degree += by_degree[-1:] * (g.n - _DEGREE_CAP - 1)
+    heap = sorted([rule | v for v, d in enumerate(map(len, one)) for rule in by_degree[d]])
+    pending = set(heap)
 
     # Per vertex: None if its DOMINATION probe never failed or last fired; else
     # the vertices inside every ball since it failed: False before the first
@@ -344,39 +332,33 @@ def apply_rules_exhaustively(
 
     def on_removal(removed: int, ball: set[int]) -> None:
         since[removed] = None
-        mark(ball)
         for x in ball:
+            for rule in by_degree[len(one[x])]:
+                key = rule | x
+                if key not in pending:
+                    pending.add(key)
+                    heappush(heap, key)
             inside = since[x]
             if inside is not None:
                 since[x] = ball if inside is False else inside & ball
 
-    mark(range(g.n))
     g.removal_listener = on_removal
     try:
-        while True:
-            for kind, lowest, pending, heap in queues:
-                func = _RULE_FUNCS[kind]
-                domination = kind is ReductionKind.DOMINATION
-                fired = False
-                while heap:
-                    v = heap[0]
-                    if status[v] is active and len(one[v]) >= lowest:
-                        if domination:
-                            # Positional: probe wrappers may forward only *args.
-                            hit = func(g, v, log, since[v])
-                            since[v] = None if hit is not None else False
-                        else:
-                            hit = func(g, v, log)
-                        if hit is not None:
-                            counts[kind] += 1
-                            fired = True
-                            break
-                    heappop(heap)
-                    pending.discard(v)
-                if fired:
-                    break
-            else:
-                return
+        while heap:
+            key = heap[0]
+            k, v = key >> shift, key & vertex_mask
+            if status[v] is active and len(one[v]) >= lowest[k]:
+                if domination[k]:
+                    # Positional: probe wrappers may forward only *args.
+                    hit = funcs[k](g, v, log, since[v])
+                    since[v] = None if hit is not None else False
+                else:
+                    hit = funcs[k](g, v, log)
+                if hit is not None:
+                    counts[order[k]] += 1
+                    continue
+            heappop(heap)
+            pending.discard(key)
     finally:
         g.removal_listener = None
 

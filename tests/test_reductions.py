@@ -25,10 +25,9 @@ from twopack import (
 from twopack.oracle import brute_alpha
 import twopack.reductions as reductions
 from twopack.reductions import (
-    _DEGREE_WINDOWS,
+    _RULE_DEGREE,
     _RULE_FUNCS,
     ReductionLog,
-    _admits,
     apply_rules_exhaustively,
     try_clique,
     try_deg_one,
@@ -760,7 +759,7 @@ def test_domination_materializes_only_fresh_vertices(monkeypatch):
     st.lists(st.integers(0, 10**6), max_size=4),
 )
 def test_degree_windows_are_sound(n, p, seed, removals, materialize):
-    """Outside its degree window a rule's probe returns None and leaves the
+    """At a degree it does not admit a rule's probe returns None and leaves the
     graph and the log untouched, so the scheduler may skip it."""
     base = TwoLevelGraph(gnp_graph(n, p, seed))
     for pick in removals:
@@ -774,9 +773,10 @@ def test_degree_windows_are_sound(n, p, seed, removals, materialize):
         if active:
             base.materialize_two_neighborhood(active[pick % len(active)])
     before = graph_state(base)
-    for kind in _DEGREE_WINDOWS:
+    for kind in _RULE_FUNCS:
         for v in active:
-            if _admits(kind, base.degree(v)):
+            degree = base.degree(v)
+            if _RULE_DEGREE.get(kind, degree) == degree:
                 continue
             log = ReductionLog()
             assert _RULE_FUNCS[kind](base, v, log) is None, (kind, v)
@@ -784,21 +784,40 @@ def test_degree_windows_are_sound(n, p, seed, removals, materialize):
             assert len(log) == 0
 
 
-# Probes per GOLDEN_TRACES graph with every vertex of a removal's ball queued
-# for every rule, as before degree windows.
+# Probes per GOLDEN_TRACES graph under ELABORATED with every vertex of a
+# removal's ball queued for every rule, as before degree windows.
 PROBES_WITHOUT_WINDOWS = {"hub": 24229, "geometric": 45377}
-# Probes of the two rules whose window admits every degree; windows leave them
-# as they were.  ELABORATED runs no CLIQUE, so it makes no CLIQUE probe.
-EVERY_DEGREE_PROBES = {
-    "hub": {ReductionKind.DOMINATION: 1618, ReductionKind.CLIQUE: 0},
-    "geometric": {ReductionKind.DOMINATION: 1556, ReductionKind.CLIQUE: 0},
+# Probes per rule, and the kernel's (n, m, m2, offset), per GOLDEN_TRACES graph
+# and variant.  A scheduler that probes a rule more often, or fires another
+# sequence, fails.
+RULE_PROBES = {
+    ("hub", ReductionVariant.CORE): (
+        {ReductionKind.CLIQUE: 2791, ReductionKind.DOMINATION: 1618},
+        (283, 518, 5803, 0),
+    ),
+    ("hub", ReductionVariant.ELABORATED): (
+        {ReductionKind.DEG_ZERO: 13, ReductionKind.DEG_ONE: 122, ReductionKind.DOMINATION: 1618},
+        (283, 518, 5803, 0),
+    ),
+    ("geometric", ReductionVariant.CORE): (
+        {ReductionKind.CLIQUE: 3688, ReductionKind.DOMINATION: 992},
+        (81, 63, 123, 52),
+    ),
+    ("geometric", ReductionVariant.ELABORATED): (
+        {ReductionKind.DEG_ZERO: 65, ReductionKind.DEG_ONE: 324, ReductionKind.DOMINATION: 1556},
+        (81, 63, 123, 52),
+    ),
 }
 
 
+@pytest.mark.parametrize(
+    "variant", [ReductionVariant.CORE, ReductionVariant.ELABORATED], ids=lambda v: v.value
+)
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
-def test_probes_route_by_degree(name, monkeypatch):
-    """The scheduler probes a windowed rule only on vertices inside its window,
-    and so probes less than with unwindowed queues."""
+def test_probes_route_by_degree(name, variant, monkeypatch):
+    """The scheduler probes a degree rule only on vertices of the degree it
+    admits, and so probes less than with unwindowed queues; every rule's probe
+    count and the kernel are pinned."""
     probes: Counter = Counter()
     outside: list[tuple[ReductionKind, int, int]] = []
 
@@ -806,7 +825,7 @@ def test_probes_route_by_degree(name, monkeypatch):
         def wrapped(g, v, log=None, *rest):
             probes[kind] += 1
             degree = len(g._one[v])
-            if not _admits(kind, degree):
+            if _RULE_DEGREE.get(kind, degree) != degree:
                 outside.append((kind, v, degree))
             return func(g, v, log, *rest)
 
@@ -815,8 +834,34 @@ def test_probes_route_by_degree(name, monkeypatch):
     for kind, func in list(reductions._RULE_FUNCS.items()):
         monkeypatch.setitem(reductions._RULE_FUNCS, kind, counting(kind, func))
     make, _, _ = GOLDEN_TRACES[name]
-    reduce(make(), ReductionVariant.ELABORATED)
+    report = reduce(make(), variant).report
     assert outside == []
     assert sum(probes.values()) < PROBES_WITHOUT_WINDOWS[name]
-    every_degree = EVERY_DEGREE_PROBES[name]
-    assert {kind: probes[kind] for kind in every_degree} == every_degree
+    kernel = (report.n_kernel, report.m_kernel, report.m2_kernel, report.offset)
+    assert (dict(probes), kernel) == RULE_PROBES[name, variant]
+
+
+@pytest.mark.parametrize("variant", list(ReductionVariant), ids=lambda v: v.value)
+def test_scheduler_state_does_not_outlive_reduce(variant, monkeypatch):
+    """No removal listener is left on the graph, which would keep the
+    scheduler's heap, pending set and ball intersections alive through the
+    solve: not after reduce, and not when a probe raises."""
+    static = preferential_attachment(80, 2, seed=3)
+    assert reduce(static, variant).graph.removal_listener is None
+    if not variant.rule_order:
+        return
+
+    def raising(func):
+        def wrapped(g, *args):
+            if g.active_count < g.n:
+                raise RuntimeError("probe after a removal")
+            return func(g, *args)
+
+        return wrapped
+
+    for kind, func in list(reductions._RULE_FUNCS.items()):
+        monkeypatch.setitem(reductions._RULE_FUNCS, kind, raising(func))
+    g = TwoLevelGraph(static)
+    with pytest.raises(RuntimeError, match="probe after a removal"):
+        apply_rules_exhaustively(g, variant.rule_order, ReductionLog(), Counter())
+    assert g.removal_listener is None
