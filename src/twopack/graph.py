@@ -144,9 +144,6 @@ class TwoLevelGraph:
         self._closed: list[set[int]] = [{v, *static.neighbors(v)} for v in range(static.n)]
         self._status: list[VertexStatus] = [VertexStatus.ACTIVE] * static.n
         self._materialized: list[bool] = [False] * static.n
-        self._active = static.n
-        self._m = static.m
-        self._m2 = 0
         # Optional callback (w, ball) fired after each removal with a set, never
         # touched again, of the survivors at conflict distance <= 2 of w.
         self.removal_listener: Callable[[int, set[int]], None] | None = None
@@ -155,15 +152,18 @@ class TwoLevelGraph:
 
     @property
     def active_count(self) -> int:
-        return self._active
+        return self._status.count(VertexStatus.ACTIVE)
 
     @property
     def one_edge_count(self) -> int:
-        return self._m
+        return sum(map(len, self._one)) // 2
 
     @property
     def two_edge_count(self) -> int:
-        return self._m2
+        # An active closed set holds the vertex, its neighbours and its
+        # conflict partners; a removed vertex keeps an empty one.
+        closed = sum(map(len, self._closed)) - self.active_count
+        return closed // 2 - self.one_edge_count
 
     def status(self, v: int) -> VertexStatus:
         return self._status[v]
@@ -208,7 +208,6 @@ class TwoLevelGraph:
             for u in fresh:
                 self._closed[u].add(v)
             closed |= fresh
-            self._m2 += len(fresh)
             self._materialized[v] = True
         two = closed - self._one[v]
         two.discard(v)
@@ -238,25 +237,21 @@ class TwoLevelGraph:
             self._one[x].remove(w)
         for x in closed_w:
             self._closed[x].discard(w)
-        self._m -= len(nbrs)
-        self._m2 -= len(closed_w) - 1 - len(nbrs)
         for i, x in enumerate(nbrs):
             closed_x = self._closed[x]
             for y in nbrs[i + 1 :]:
                 if y not in closed_x:
                     closed_x.add(y)
                     self._closed[y].add(x)
-                    self._m2 += 1
         self._one[w] = set()
         self._materialized[w] = False
         self._status[w] = mark
-        self._active -= 1
         if ball is not None:
             ball.discard(w)
             self.removal_listener(w, ball)
 
     def __repr__(self) -> str:
         return (
-            f"TwoLevelGraph(n={self.n}, active={self._active}, "
-            f"m={self._m}, m2={self._m2})"
+            f"TwoLevelGraph(n={self.n}, active={self.active_count}, "
+            f"m={self.one_edge_count}, m2={self.two_edge_count})"
         )

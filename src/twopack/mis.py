@@ -1,18 +1,19 @@
 """Maximum independent set back ends for square graphs.
 
-Two solvers over a shared bitmask representation: an exact branch-and-bound,
-which takes isolated and pendant vertices at every node, bounds with a greedy
-clique cover and branches only on vertices the bound could not charge to the
-incumbent, and an iterated (1,2)-swap local search.  The local search is
-incremental: it keeps, for every vertex, the count of its solution
-neighbours (free at 0, 1-tight at 1) and a stack of candidate members whose
-1-tight neighbourhood may hold a swap, so each move touches only the
-neighbourhoods it changes; its perturbation picks the vertex to force in by
-rejection sampling.  Both start from one maximal set, built by first fit in
-ascending label order and taken to a local optimum.  Both search in the
-square's own labels, which ``square`` gives in cover order, ascending
-``(degree, original ID)``, and share the neighbour masks the square builds
-once (``SquareGraph.masks``).
+Two solvers over a shared bitmask representation: an exact branch-and-bound
+and an iterated (1,2)-swap local search.  A branch-and-bound node is cover,
+prune and branch: it covers the residual graph with greedy cliques, prunes
+on that bound, and otherwise branches on the highest label outside the
+first ``best - size`` cliques.  The local search is incremental: it
+keeps, for every vertex, the count of its solution neighbours (free at 0,
+1-tight at 1) and a stack of candidate members whose 1-tight neighbourhood
+may hold a swap, so each move touches only the neighbourhoods it changes;
+its perturbation picks the vertex to force in by rejection sampling.
+Both start from one maximal set, built by first fit in ascending label
+order and taken to a local optimum.  Both search in the square's own
+labels, which ``square`` gives in cover order, ascending ``(degree,
+original ID)``, and share the neighbour masks the square builds once
+(``SquareGraph.masks``).
 All randomness flows from a single seed; with a node budget instead of a wall
 clock, runs are bit-identical.
 """
@@ -306,23 +307,26 @@ def _clique_cover(alive: int, nb: list[int]) -> list[int]:
 def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
     """Branch and bound with include/exclude branches.
 
-    Each node first includes isolated and pendant vertices to a fixed point,
-    then covers the residual graph with greedy cliques and prunes when the
-    chosen vertices plus the clique count cannot beat the incumbent.
-    Otherwise it branches on a vertex outside the first ``best - size``
-    cliques, the one with the most alive neighbours (lowest label on ties),
-    as MCS does (Tomita et al., WALCOM 2010).  The initial incumbent
-    is the answer of ``heuristic_mis`` with no iterations (``max_nodes=0``):
-    first fit in ascending label order taken to a local optimum, or that
-    first fit alone when no budget is left; when that answer is proven
-    (an empty or edgeless square) or no budget is left, it is returned as it
-    is.  The search runs in the square's own labels, on the masks the warm
-    start built; ``square`` numbers them in cover order, ``(degree, original
-    ID)`` ascending, so each clique of the cover is built a class at a time.
-    ``nodes_explored`` counts the nodes that passed the clock and node-budget
-    checks, so a node-budget abort reports exactly ``deadline.max_nodes``.
-    When the deadline expires the best solution found so far is returned
-    unproven.
+    A node is cover, prune and branch.  It covers the residual graph with
+    greedy cliques and prunes when the chosen vertices plus the clique count
+    cannot beat the incumbent.  Otherwise it branches on the highest label
+    outside the first ``best - size`` cliques, as MCS branches outside the
+    charged colour classes (Tomita et al., WALCOM 2010): a set larger than
+    the incumbent takes a vertex there, so any of them is a complete branch,
+    and on a square built by ``square`` the highest label among them has
+    the highest degree in the square.  A node with nothing left alive is a leaf.
+
+    The initial incumbent is the answer of ``heuristic_mis`` with no
+    iterations (``max_nodes=0``): first fit in ascending label order taken
+    to a local optimum, or that first fit alone when no budget is left; when
+    that answer is proven (an empty or edgeless square) or no budget is
+    left, it is returned as it is.  The search runs in the square's own
+    labels, on the masks the warm start built; ``square`` numbers them in
+    cover order, ``(degree, original ID)`` ascending, so each clique of the
+    cover is built a class at a time.  ``nodes_explored`` counts the nodes
+    that passed the clock and node-budget checks, so a node-budget abort
+    reports exactly ``deadline.max_nodes``.  When the deadline expires the
+    best solution found so far is returned unproven.
     """
     start = time.perf_counter()
     warm = heuristic_mis(sq, replace(deadline, max_nodes=0), seed)
@@ -349,53 +353,23 @@ def exact_mis(sq: SquareGraph, deadline: Deadline, seed: int = 0) -> MisResult:
             break
         nodes += 1
         alive, chosen = stack.pop()
-
-        while True:
-            changed = False
-            a = alive
-            while a:
-                low = a & -a
-                a ^= low
-                v = low.bit_length() - 1
-                nv = nb[v] & alive
-                d = nv.bit_count()
-                if d == 0:
-                    chosen |= low
-                    alive ^= low
-                    changed = True
-                elif d == 1:
-                    chosen |= low
-                    alive &= ~(low | nv)
-                    a &= alive
-                    changed = True
-            if not changed:
-                break
-
+        size = chosen.bit_count()
         if alive == 0:
-            size = chosen.bit_count()
             if size > best:
                 best = size
                 best_mask = chosen
                 time_to_best = time.perf_counter() - start
             continue
-        size = chosen.bit_count()
         cliques = _clique_cover(alive, nb)
         if size + len(cliques) <= best:
             continue
         # A clique holds at most one vertex of an independent set, so one
-        # larger than best uses a vertex outside the first best - size cliques.
+        # larger than best uses a vertex outside the first best - size cliques:
+        # branching on any of them, here the highest label, is complete.
         a = 0
         for clique in cliques[max(best - size, 0):]:
             a |= clique
-        branch_v, branch_d = -1, -1
-        while a:
-            low = a & -a
-            a ^= low
-            v = low.bit_length() - 1
-            d = (nb[v] & alive).bit_count()
-            if d > branch_d:
-                branch_d = d
-                branch_v = v
+        branch_v = a.bit_length() - 1
         bit = 1 << branch_v
         stack.append((alive & ~bit, chosen))
         stack.append((alive & ~(nb[branch_v] | bit), chosen | bit))

@@ -258,7 +258,7 @@ def test_symmetry_after_removals(params):
     st.lists(st.tuples(st.sampled_from("ime"), st.integers(0, 10**6)), max_size=10),
 )
 def test_counts_and_closed_sets_after_any_operations(n, p, seed, ops):
-    """Removals under both marks and materializations keep both incremental
+    """Removals under both marks and materializations keep both
     edge counts equal to a recount, and every closed conflict set symmetric
     and holding its vertex and its neighbors."""
     tlg = TwoLevelGraph(gnp_graph(n, p, seed))
