@@ -120,14 +120,13 @@ class TwoLevelGraph:
     distance-two neighborhood of a vertex is computed on demand by
     ``materialize_two_neighborhood`` and kept up to date afterwards.
 
-    ``neighbors``, ``degree``, ``materialize_two_neighborhood`` and
-    ``remove_vertex`` reject an out-of-range or inactive vertex with
-    ``GraphError``, and the set-valued ones return copies.
-    ``status``, ``is_materialized``, ``active_vertices`` and the three counts
-    do no activity check.  Each graph fact has one name: whether ``v`` is
-    active is ``status(v) is VertexStatus.ACTIVE``, the edge test is
-    ``v in neighbors(u)``, and the 2-neighborhood is
-    ``materialize_two_neighborhood(v)``.
+    ``neighbors``, ``degree``, ``two_neighbors``, ``remove_vertex`` and
+    ``materialize_two_neighborhood`` reject an out-of-range or inactive vertex
+    with ``GraphError``, and the set-valued ones return copies.  ``status``,
+    ``is_materialized``, ``active_vertices`` and the three counts do no
+    activity check.  Each graph fact has one name: whether ``v`` is active is
+    ``status(v) is VertexStatus.ACTIVE``, the edge test is
+    ``v in neighbors(u)``, and the 2-neighborhood is ``two_neighbors(v)``.
 
     The reduction rules in ``reductions`` run millions of probes, so they
     skip those checks and copies: they read ``_one[v]`` (edges),
@@ -191,16 +190,16 @@ class TwoLevelGraph:
 
     # -- lazy two-neighborhoods --------------------------------------------
 
-    def materialize_two_neighborhood(self, v: int) -> set[int]:
-        """Complete and return the distance-two conflict neighborhood of ``v``.
+    def materialize_two_neighborhood(self, v: int) -> None:
+        """Complete the distance-two conflict neighborhood of ``v`` in place.
 
         Unions the conflict edges recorded so far (rewired through removed
         vertices) with the neighbors-of-neighbors of ``v`` in the current
         graph.  Partner vertices receive the symmetric entries.  Idempotent.
         """
         self._require_active(v)
-        closed = self._closed[v]
         if not self._materialized[v]:
+            closed = self._closed[v]
             fresh: set[int] = set()
             for u in self._one[v]:
                 fresh |= self._one[u]
@@ -209,9 +208,11 @@ class TwoLevelGraph:
                 self._closed[u].add(v)
             closed |= fresh
             self._materialized[v] = True
-        two = closed - self._one[v]
-        two.discard(v)
-        return two
+
+    def two_neighbors(self, v: int) -> set[int]:
+        """A copy of the 2-neighborhood of ``v``, materialized if need be."""
+        self.materialize_two_neighborhood(v)
+        return self._closed[v] - self._one[v] - {v}
 
     # -- mutation ------------------------------------------------------------
 

@@ -52,7 +52,7 @@ class SolverConfig:
             raise ValueError("edge_cap must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class Solution:
     vertices: frozenset[int]
     size: int

@@ -1,11 +1,12 @@
 """Exact data reduction rules for the maximum 2-packing set problem.
 
 Each rule either includes a vertex into the solution (excluding its whole
-closed conflict neighborhood) or excludes a dominated vertex.  Rules are
-scheduled exhaustively in a per-variant order: after every successful
-application the scheduler restarts at the first rule, and it stops once a
-full pass applies nothing.  The log of decisions maps kernel solutions back
-to solutions of the input graph.
+closed conflict neighborhood) or excludes a dominated vertex.  Rules run to
+exhaustion in a per-variant order: the rules before ``DOMINATION`` restart
+at the first rule after every application, ``DOMINATION`` runs in passes
+over the active vertices in ascending ID, and reduction stops after a pass
+that applies nothing.  The log of decisions maps kernel solutions back to
+solutions of the input graph.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class ReductionLog:
         return len(self.entries)
 
 
-@dataclass
+@dataclass(slots=True)
 class KernelReport:
     """Kernel sizes and per-rule application counts, taken when reduction
     ends; the square-graph sizes stay ``None`` until the square is built."""
@@ -179,10 +180,7 @@ def _conflicts(g: TwoLevelGraph, x: int, y: int) -> bool:
 
 
 def try_domination(
-    g: TwoLevelGraph,
-    v: int,
-    log: Optional[ReductionLog] = None,
-    since: Optional[set[int]] = None,
+    g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None, reprobe: bool = False
 ) -> Optional[int]:
     """Exclude a vertex u whose closed 2-neighborhood contains that of v.
 
@@ -190,33 +188,33 @@ def try_domination(
     v; on equal closed 2-neighborhoods the larger ID is excluded.  Every
     candidate up to the excluded one has its 2-neighborhood materialized.
 
-    ``since``, if given, is the intersection of the balls (see
-    ``TwoLevelGraph.removal_listener``) of the removals that had v in their
-    ball since a probe of v last failed, at least one.  Only candidates
-    outside it, outside at least one of those balls, are scanned.  The
-    predicate, C[v] within C[u] for the closed conflict neighborhoods, reads
-    only the conflict relation, which removing w changes only by deleting w.
-    A removal with v outside its ball leaves C[v] as it was and only shrinks
-    C[u]; one whose ball holds u deletes w from both.  So a candidate inside
-    every recorded ball still fails.  The failed probe materialized every
-    candidate it skips, so the filtered probe returns the same vertex and
-    materializes the same 2-neighborhoods as a full one.
+    ``reprobe`` says that a probe of v failed before.  That probe
+    materialized v and every candidate, and a materialized C[v] only loses
+    removed vertices afterwards, so every candidate is still materialized:
+    the probe takes the least candidate that passes, with no sort and no
+    materialization, and so returns what the ordered scan would.
     """
-    closed, materialized = g._closed, g._materialized
+    closed = g._closed
     closed_v = _closed_set(g, v)
     size_v = len(closed_v)
-    # v lies in every ball, so only the full scan drops it by hand.
-    candidates = closed_v - {v} if since is None else closed_v - since
-    for u in sorted(candidates):
-        if not materialized[u]:
-            g.materialize_two_neighborhood(u)
-        closed_u = closed[u]
-        # C[v] within C[u]; the size test rejects most candidates at once.
-        if len(closed_u) >= size_v and closed_v <= closed_u:
-            target = max(u, v) if len(closed_u) == size_v else u
-            _exclude(g, log, ReductionKind.DOMINATION, target)
-            return target
-    return None
+    # C[v] within C[u]; the size test rejects most candidates at once.
+    if reprobe:
+        hits = [u for u in closed_v if len(closed[u]) >= size_v and closed_v <= closed[u]]
+        if len(hits) == 1:  # v itself
+            return None
+        hits.remove(v)
+        u = min(hits)
+    else:
+        for u in sorted(closed_v - {v}):
+            if not g._materialized[u]:
+                g.materialize_two_neighborhood(u)
+            if len(closed[u]) >= size_v and closed_v <= closed[u]:
+                break
+        else:
+            return None
+    target = max(u, v) if len(closed[u]) == size_v else u
+    _exclude(g, log, ReductionKind.DOMINATION, target)
+    return target
 
 
 def try_clique(g: TwoLevelGraph, v: int, log: Optional[ReductionLog] = None) -> Optional[int]:
@@ -276,44 +274,47 @@ def apply_rules_exhaustively(
     log: ReductionLog,
     counts: Counter,
 ) -> None:
-    """Run the ordered rules to exhaustion, restarting after every application.
+    """Run the ordered rules to exhaustion, ``DOMINATION`` in passes.
 
-    One min-heap holds the pending (rule index, vertex) pairs, least rule
-    first, then least vertex: its top is the next unskipped probe of the
-    plain restart policy (each rule on active vertices in ascending ID, back
-    to the first rule after every success).  Three kinds of work are
-    skipped, all because they would fail without touching the graph, so the
-    rule/vertex sequence is the one the plain restart policy fires:
+    The rules before ``DOMINATION`` run to exhaustion after every firing,
+    each on active vertices in ascending ID, back to the first rule after
+    every success.  A ``DOMINATION`` pass walks the active vertices in
+    ascending ID and probes each until it fails.  A removal queues a vertex
+    of its ball whose probe failed into the current pass if it lies above
+    the pass position, else into the next; a rule after ``DOMINATION`` runs
+    at the end of the pass.  Reduce ends after a pass that fires nothing.
 
-    * a probe that failed is not repeated until some vertex at conflict
-      distance <= 2 of the probed vertex is removed: rule predicates depend
-      only on that ball (conflicts between surviving pairs never change,
-      neighborhoods only shrink);
-    * a degree rule is probed only on vertices of the degree it admits (see
-      ``_RULE_DEGREE``).  Degrees only shrink, and a removal that changes a
-      vertex's degree has it in its ball, so a pair is queued when the
-      vertex's degree reaches the rule's; one whose degree has dropped below
-      it since it was queued is popped unprobed;
-    * a ``DOMINATION`` probe on a vertex whose last such probe failed scans
-      only the candidates that some removal since then may have freed: it
-      receives the intersection of those removals' balls, kept as they arrive
-      (see ``try_domination``), so a re-probe costs one set difference.  Its
-      materializations are those of a full probe.
+    One min-heap holds the pending (pass, rule index, vertex) keys, and a
+    set beside it the pending (rule index, vertex) pairs; the heap's top is
+    the next probe.  Two kinds of probe are skipped, both because they would
+    fail without touching the graph:
 
-    A set beside the heap holds the same pairs.  Every vertex at the start,
-    and every vertex of a removal's ball, is queued by reading its degree once
-    and pushing its missing pairs for the rules that admit that degree.  A
-    failed probe pops its pair and a firing leaves it in place; pairs of
-    removed vertices are popped unprobed when they reach the top.
+    * a failed probe, until some vertex at conflict distance <= 2 of the
+      probed vertex is removed: rule predicates depend only on that ball
+      (conflicts between surviving pairs never change, neighborhoods only
+      shrink);
+    * a degree rule's, on a vertex of another degree (see ``_RULE_DEGREE``).
+      Degrees only shrink, and a removal that changes a vertex's degree has
+      it in its ball, so a pair is queued when the vertex's degree reaches
+      the rule's; one whose degree has dropped below it is popped unprobed.
+
+    Every vertex at the start, and every vertex of a removal's ball, is
+    queued by reading its degree once and pushing its missing pairs for the
+    rules that admit that degree.  A failed probe pops its pair and a firing
+    leaves it in place; pairs of removed vertices are popped unprobed.  A
+    ``DOMINATION`` probe after a failed one is a re-probe (see
+    ``try_domination``).
     """
     order = tuple(rule_order)
     funcs = [_RULE_FUNCS[kind] for kind in order]
     lowest = [_RULE_DEGREE.get(kind, 0) for kind in order]
-    domination = [kind is ReductionKind.DOMINATION for kind in order]
+    dom = order.index(ReductionKind.DOMINATION) if ReductionKind.DOMINATION in order else -1
     one, status, active = g._one, g._status, VertexStatus.ACTIVE
-    # A pair is the key k << shift | v.
+    # A pair is k << shift | v, and a key adds the pass number times step.
     shift = g.n.bit_length()
     vertex_mask = (1 << shift) - 1
+    step = 1 << (shift + len(order).bit_length())
+    pair_mask, dom_rule = step - 1, dom << shift
     # Degree -> k << shift for the rules k that admit it.  Every degree from
     # _DEGREE_CAP to n - 1 shares one list, so a degree indexes it uncapped.
     by_degree = [
@@ -323,42 +324,38 @@ def apply_rules_exhaustively(
     by_degree += by_degree[-1:] * (g.n - _DEGREE_CAP - 1)
     heap = sorted([rule | v for v, d in enumerate(map(len, one)) for rule in by_degree[d]])
     pending = set(heap)
-
-    # Per vertex: None if its DOMINATION probe never failed or last fired; else
-    # the vertices inside every ball since it failed: False before the first
-    # ball (only a ball queues it again), that ball by reference, and a fresh
-    # intersection for each later one, so no ball is ever mutated.
-    since: list[Optional[set[int]] | bool] = [None] * g.n
+    failed = [False] * g.n
+    # The current pass as a key offset, and its latest DOMINATION vertex.
+    now, pos = 0, -1
 
     def on_removal(removed: int, ball: set[int]) -> None:
-        since[removed] = None
+        later = now + step
         for x in ball:
             for rule in by_degree[len(one[x])]:
-                key = rule | x
-                if key not in pending:
-                    pending.add(key)
-                    heappush(heap, key)
-            inside = since[x]
-            if inside is not None:
-                since[x] = ball if inside is False else inside & ball
+                pair = rule | x
+                if pair not in pending:
+                    pending.add(pair)
+                    heappush(heap, (later if rule == dom_rule and x <= pos else now) | pair)
 
     g.removal_listener = on_removal
     try:
         while heap:
             key = heap[0]
-            k, v = key >> shift, key & vertex_mask
+            pair = key & pair_mask
+            k, v = pair >> shift, pair & vertex_mask
             if status[v] is active and len(one[v]) >= lowest[k]:
-                if domination[k]:
+                if k == dom:
+                    now, pos = key - pair, v
                     # Positional: probe wrappers may forward only *args.
-                    hit = funcs[k](g, v, log, since[v])
-                    since[v] = None if hit is not None else False
+                    hit = funcs[k](g, v, log, failed[v])
+                    failed[v] = failed[v] or hit is None
                 else:
                     hit = funcs[k](g, v, log)
                 if hit is not None:
                     counts[order[k]] += 1
                     continue
             heappop(heap)
-            pending.discard(key)
+            pending.discard(pair)
     finally:
         g.removal_listener = None
 

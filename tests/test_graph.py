@@ -91,16 +91,18 @@ class TestBuild:
 class TestMaterialize:
     def test_p3_endpoint(self):
         g = TwoLevelGraph(path_graph(3))
-        assert g.materialize_two_neighborhood(0) == {2}
+        assert g.materialize_two_neighborhood(0) is None
         assert g.is_materialized(0)
+        assert g._closed[0] == {0, 1, 2}
+        assert g.two_neighbors(0) == {2}
 
     def test_k3_no_two_neighbors(self):
         g = TwoLevelGraph(complete_graph(3))
-        assert g.materialize_two_neighborhood(0) == set()
+        assert g.two_neighbors(0) == set()
 
     def test_star_leaves(self):
         g = TwoLevelGraph(star_graph(3, center=0))
-        assert g.materialize_two_neighborhood(1) == {2, 3}
+        assert g.two_neighbors(1) == {2, 3}
 
     def test_symmetric_entries_on_partner(self):
         g = TwoLevelGraph(path_graph(3))
@@ -109,9 +111,17 @@ class TestMaterialize:
 
     def test_idempotent(self):
         g = TwoLevelGraph(path_graph(5))
-        first = g.materialize_two_neighborhood(2)
-        second = g.materialize_two_neighborhood(2)
-        assert first == second == {0, 4}
+        g.materialize_two_neighborhood(2)
+        first = set(g._closed[2])
+        g.materialize_two_neighborhood(2)
+        assert first == g._closed[2] == {0, 1, 2, 3, 4}
+        assert g.two_neighbors(2) == {0, 4}
+
+    def test_two_neighbors_is_a_copy(self):
+        g = TwoLevelGraph(path_graph(3))
+        g.two_neighbors(0).add(1)
+        assert g.is_materialized(0)
+        assert g.two_neighbors(0) == {2}
 
     def test_inactive_vertex_rejected(self):
         g = TwoLevelGraph(path_graph(3))
@@ -139,14 +149,14 @@ class TestRemoveVertex:
         g = TwoLevelGraph(path_graph(2))
         g.remove_vertex(0, VertexStatus.EXCLUDED)
         assert g.degree(1) == 0
-        assert g.materialize_two_neighborhood(1) == set()
+        assert g.two_neighbors(1) == set()
 
     def test_star_center_removal_keeps_leaf_conflicts(self):
         g = TwoLevelGraph(star_graph(3, center=0))
         g.remove_vertex(0, VertexStatus.EXCLUDED)
         assert g.two_edge_count == 3
         for u in (1, 2, 3):
-            assert g.materialize_two_neighborhood(u) == {1, 2, 3} - {u}
+            assert g.two_neighbors(u) == {1, 2, 3} - {u}
 
     def test_no_retention_between_adjacent_neighbors(self):
         g = TwoLevelGraph(complete_graph(3))
@@ -177,18 +187,18 @@ class TestAccessors:
     def test_p5_center_degrees(self):
         g = TwoLevelGraph(path_graph(5))
         assert g.degree(2) == 2
-        assert len(g.materialize_two_neighborhood(2)) == 2
-        assert g.materialize_two_neighborhood(2) == {0, 4}
+        assert len(g.two_neighbors(2)) == 2
+        assert g.two_neighbors(2) == {0, 4}
 
     def test_c4_opposite_vertex(self):
         g = TwoLevelGraph(cycle_graph(4))
         for v in range(4):
-            assert len(g.materialize_two_neighborhood(v)) == 1
+            assert len(g.two_neighbors(v)) == 1
 
     def test_isolated_vertex(self):
         g = TwoLevelGraph(StaticGraph.from_edges(1, []))
         assert g.degree(0) == 0
-        assert len(g.materialize_two_neighborhood(0)) == 0
+        assert len(g.two_neighbors(0)) == 0
 
     def test_inactive_access_rejected(self):
         g = TwoLevelGraph(path_graph(3))
@@ -223,7 +233,7 @@ def test_conflict_preservation_under_removals(params):
     for v in tlg.active_vertices():
         expected = {w for w in sq.adjacency[v] if tlg.status(w) is VertexStatus.ACTIVE}
         one = tlg.neighbors(v)
-        two = tlg.materialize_two_neighborhood(v)
+        two = tlg.two_neighbors(v)
         assert one | two == expected
         assert not one & two
         # no spurious conflicts: recorded 2-edges are exact distance-2 pairs
@@ -246,7 +256,7 @@ def test_symmetry_after_removals(params):
     for v in tlg.active_vertices():
         for w in tlg.neighbors(v):
             assert v in tlg.neighbors(w)
-        for w in tlg.materialize_two_neighborhood(v):
+        for w in tlg.two_neighbors(v):
             assert v in tlg._closed[w]
 
 

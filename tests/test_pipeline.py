@@ -147,6 +147,11 @@ class TestSolve:
         sol = solve_m2s(cycle_graph(9), SolverConfig())
         assert 0 <= sol.time_to_best <= sol.time_to_proof
 
+    def test_results_are_slotted(self):
+        """A run may keep many results: neither record carries a __dict__."""
+        sol = solve_m2s(cycle_graph(9), SolverConfig())
+        assert not hasattr(sol, "__dict__") and not hasattr(sol.kernel, "__dict__")
+
 
 class TestMemoryCap:
     def test_edge_cap_raises_with_partial_stats(self):

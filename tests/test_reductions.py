@@ -80,7 +80,7 @@ class TestConfinedTest:
 
     def test_p3_equality_case(self):
         g = TwoLevelGraph(path_graph(3))
-        closed = [g.materialize_two_neighborhood(v) | g.neighbors(v) | {v} for v in (0, 1)]
+        closed = [g.two_neighbors(v) | g.neighbors(v) | {v} for v in (0, 1)]
         assert closed[0] == closed[1]
         assert try_domination(g, 0) == 1
 
@@ -92,7 +92,7 @@ class TestConfinedTest:
 
     def test_p4_confirms_set_identity(self):
         g = TwoLevelGraph(path_graph(4))
-        assert g.materialize_two_neighborhood(0) == (g.neighbors(1) | {1}) - (g.neighbors(0) | {0})
+        assert g.two_neighbors(0) == (g.neighbors(1) | {1}) - (g.neighbors(0) | {0})
         assert try_domination(g, 0) == 1
 
     def test_precondition_not_adjacent(self):
@@ -157,7 +157,7 @@ class TestDegZero:
         g = TwoLevelGraph(path_graph(5))
         g.remove_vertex(1, VertexStatus.EXCLUDED)
         g.remove_vertex(3, VertexStatus.EXCLUDED)
-        assert g.degree(2) == 0 and len(g.materialize_two_neighborhood(2)) == 2
+        assert g.degree(2) == 0 and len(g.two_neighbors(2)) == 2
         assert try_deg_zero(g, 2) is None
         assert try_clique(g, 2) is None
 
@@ -175,7 +175,7 @@ class TestDegZeroTriangle:
         # Too many conflict neighbors for the triangle rule, but they form a clique.
         g = TwoLevelGraph(star_graph(4, center=0))
         g.remove_vertex(0, VertexStatus.EXCLUDED)
-        assert len(g.materialize_two_neighborhood(1)) == 3
+        assert len(g.two_neighbors(1)) == 3
         assert try_clique(g, 1) == 1
         assert g.active_count == 0
 
@@ -439,40 +439,56 @@ def test_determinism(full_corpus):
             assert a.log.offset == b.log.offset
 
 
-def test_memoized_schedule_matches_plain_restart_policy():
-    """The dirty-set scheduler must fire the same rule/vertex sequence as a
-    scan-everything restart policy."""
+def plain_pass_reduce(static, variant):
+    """The pass policy with every probe made: the rules before DOMINATION to
+    exhaustion after every firing, then passes that probe DOMINATION on each
+    vertex in ascending ID until it fails, until a pass fires nothing."""
+    g, log = TwoLevelGraph(static), ReductionLog()
+    order = variant.rule_order
+    before = order[: order.index(ReductionKind.DOMINATION)]
 
-    def plain_reduce(static, variant):
-        g = TwoLevelGraph(static)
-        log = ReductionLog()
-        while True:
-            for kind in variant.rule_order:
-                fired = False
-                for v in g.active_vertices():
-                    if _RULE_FUNCS[kind](g, v, log) is not None:
-                        fired = True
-                        break
-                if fired:
-                    break
-            else:
-                return g, log
+    def exhaust():
+        while any(
+            _RULE_FUNCS[kind](g, v, log) is not None
+            for kind in before
+            for v in g.active_vertices()
+        ):
+            pass
 
+    exhaust()
+    fired = True
+    while fired:
+        fired = False
+        for v in range(g.n):
+            while g.status(v) is VertexStatus.ACTIVE and try_domination(g, v, log) is not None:
+                fired = True
+                exhaust()
+    return g, log
+
+
+def test_schedule_matches_plain_pass_policy():
+    """The queued scheduler fires the same rule/vertex sequence as the pass
+    policy with every probe made."""
     rng = random.Random(4242)
     graphs = [
         gnp_graph(rng.randint(2, 12), rng.choice([0.15, 0.3, 0.6]), rng.randrange(10**6))
         for _ in range(80)
     ]
-    # Hubs: long dirty queues, many failing probes between firings.
+    # Hubs and dense balls: a removal often frees a vertex the pass has yet
+    # to reach, or one it has passed.
     graphs += [
         preferential_attachment(rng.randint(40, 120), rng.choice([1, 2, 3]), rng.randrange(10**6))
-        for _ in range(6)
+        for _ in range(20)
+    ]
+    graphs += [
+        random_geometric(rng.randint(60, 200), rng.choice([0.1, 0.15, 0.2]), rng.randrange(10**6))
+        for _ in range(30)
     ]
     for g in graphs:
         for variant in (ReductionVariant.CORE, ReductionVariant.ELABORATED):
             kernel = reduce(g, variant)
-            plain_graph, plain_log = plain_reduce(g, variant)
-            assert kernel.graph.active_vertices() == plain_graph.active_vertices()
+            plain_graph, plain_log = plain_pass_reduce(g, variant)
+            assert graph_state(kernel.graph) == graph_state(plain_graph)
             assert [(e.vertex, e.decision, e.rule) for e in kernel.log.entries] == [
                 (e.vertex, e.decision, e.rule) for e in plain_log.entries
             ]
@@ -501,12 +517,12 @@ def test_kernel_partitions_vertices(full_corpus):
 
 def reference_domination(g, v, log=None):
     """Reference try_domination, built on the checked, copying accessors."""
-    two_v = g.materialize_two_neighborhood(v)
+    two_v = g.two_neighbors(v)
     one_v = g.neighbors(v)
     size_v = len(one_v) + len(two_v) + 1
     for u in sorted(two_v | one_v):
         one_u = g.neighbors(u)
-        two_u = g.materialize_two_neighborhood(u)
+        two_u = g.two_neighbors(u)
         if len(one_u) + len(two_u) + 1 < size_v:
             continue
         if v not in one_u and v not in two_u:
@@ -566,6 +582,16 @@ def test_rules_match_reference(n, p, seed, removals, materialize):
         ]
 
 
+class CountingMaterializations(TwoLevelGraph):
+    """Two-level graph that counts its materialize_two_neighborhood calls."""
+
+    calls = 0
+
+    def materialize_two_neighborhood(self, v: int) -> None:
+        self.calls += 1
+        super().materialize_two_neighborhood(v)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(2, 18),
@@ -574,13 +600,13 @@ def test_rules_match_reference(n, p, seed, removals, materialize):
     st.lists(st.integers(0, 10**6), max_size=4),
     st.lists(st.integers(0, 10**6), min_size=2, max_size=6),
 )
-def test_filtered_domination_matches_full_probe(n, p, seed, before, after):
-    """After a failed domination probe on v and further removals, a probe
-    given the intersection of the balls that reached v returns the same
-    vertex as a full probe and leaves the same graph and log.  The first two
-    removals are taken from C[v] while it holds another vertex, so two or
-    more balls reach v wherever the graph allows."""
-    base = TwoLevelGraph(gnp_graph(n, p, seed))
+def test_reprobe_matches_full_probe(n, p, seed, before, after):
+    """After a failed domination probe on v and further removals, a re-probe
+    of v returns the same vertex as a full probe, leaves the same graph and
+    log, and materializes nothing.  The first two removals are taken from
+    C[v] while it holds another vertex, so they reach v wherever the graph
+    allows."""
+    base = CountingMaterializations(gnp_graph(n, p, seed))
     for pick in before:
         active = base.active_vertices()
         if not active:
@@ -590,8 +616,6 @@ def test_filtered_domination_matches_full_probe(n, p, seed, before, after):
         g = copy.deepcopy(base)
         if try_domination(g, v) is not None:
             continue
-        balls: list[set[int]] = []
-        g.removal_listener = lambda w, ball: balls.append(ball) if v in ball else None
         for i, pick in enumerate(after):
             others = [x for x in g.active_vertices() if x != v]
             near = [x for x in others if x in g._closed[v]]
@@ -600,12 +624,10 @@ def test_filtered_domination_matches_full_probe(n, p, seed, before, after):
                 break
             mark = VertexStatus.INCLUDED if pick % 2 else VertexStatus.EXCLUDED
             g.remove_vertex(pool[pick % len(pool)], mark)
-        if not balls:
-            continue  # no removal reached v, so the scheduler does not probe it again
-        inside = set.intersection(*balls)
         got, want = copy.deepcopy(g), copy.deepcopy(g)
         got_log, want_log = ReductionLog(), ReductionLog()
-        assert try_domination(got, v, got_log, inside) == try_domination(want, v, want_log), v
+        assert try_domination(got, v, got_log, True) == try_domination(want, v, want_log), v
+        assert got.calls == g.calls, v
         assert graph_state(got) == graph_state(want), v
         assert [(e.vertex, e.decision, e.rule) for e in got_log.entries] == [
             (e.vertex, e.decision, e.rule) for e in want_log.entries
@@ -645,8 +667,7 @@ class BallSnapshots(TwoLevelGraph):
 @settings(max_examples=80, deadline=None)
 @given(gnp_or_ba())
 def test_balls_are_never_mutated(static):
-    """No ball changes after the graph hands it to the scheduler, which keeps
-    a vertex's first ball by reference."""
+    """No ball changes after the graph hands it to the scheduler."""
     for variant in (ReductionVariant.CORE, ReductionVariant.ELABORATED):
         g = BallSnapshots(static)
         apply_rules_exhaustively(g, variant.rule_order, ReductionLog(), Counter())
@@ -657,28 +678,22 @@ def test_balls_are_never_mutated(static):
 
 @settings(max_examples=100, deadline=None)
 @given(gnp_or_ba())
-def test_clique_never_fires_after_elaborated(static):
-    """With CLIQUE appended to the ELABORATED order it fires 0 times, and the
-    log and the kernel (including which vertices are materialized) are as
-    without it."""
-
-    def run(order):
-        g, log, counts = TwoLevelGraph(static), ReductionLog(), Counter()
-        apply_rules_exhaustively(g, order, log, counts)
-        entries = [(e.vertex, e.decision, e.rule) for e in log.entries]
-        return entries, graph_state(g), counts
-
-    order = ReductionVariant.ELABORATED.rule_order
-    with_clique = run(order + (ReductionKind.CLIQUE,))
-    assert with_clique[2][ReductionKind.CLIQUE] == 0
-    assert with_clique == run(order)
+def test_clique_never_fires_on_elaborated_kernel(static):
+    """CLIQUE applied to a finished ELABORATED kernel fires 0 times and
+    leaves the kernel as it was, materialized vertices included."""
+    kernel = reduce(static, ReductionVariant.ELABORATED)
+    before = graph_state(kernel.graph)
+    log, counts = ReductionLog(), Counter()
+    apply_rules_exhaustively(kernel.graph, (ReductionKind.CLIQUE,), log, counts)
+    assert counts[ReductionKind.CLIQUE] == 0 and len(log) == 0
+    assert graph_state(kernel.graph) == before
 
 
 # SHA-1 of the (vertex, decision, rule) log and the kernel's (n, m, m2) under
 # ELABORATED, recorded with rules built on the checked accessors (as in the
 # reference functions above).  m2 counts recorded conflict edges, so it also
 # pins which 2-neighborhoods the rules materialize.  The geometric digest is
-# that of the four-rule ELABORATED; dropping CLIQUE left both as they were.
+# that of DOMINATION in passes.
 GOLDEN_TRACES = {
     "hub": (
         lambda: preferential_attachment(300, 3, seed=7),
@@ -687,7 +702,7 @@ GOLDEN_TRACES = {
     ),
     "geometric": (
         lambda: random_geometric(600, 0.065, seed=11),
-        "df4164b6b620265a9202e7a1d83f54282bf2da3e",
+        "affa722581444aa68954d1d44b8c67f789e7bd66",
         (81, 63, 123),
     ),
 }
@@ -792,19 +807,19 @@ PROBES_WITHOUT_WINDOWS = {"hub": 24229, "geometric": 45377}
 # sequence, fails.
 RULE_PROBES = {
     ("hub", ReductionVariant.CORE): (
-        {ReductionKind.CLIQUE: 2791, ReductionKind.DOMINATION: 1618},
+        {ReductionKind.CLIQUE: 2791, ReductionKind.DOMINATION: 550},
         (283, 518, 5803, 0),
     ),
     ("hub", ReductionVariant.ELABORATED): (
-        {ReductionKind.DEG_ZERO: 13, ReductionKind.DEG_ONE: 122, ReductionKind.DOMINATION: 1618},
+        {ReductionKind.DEG_ZERO: 13, ReductionKind.DEG_ONE: 122, ReductionKind.DOMINATION: 550},
         (283, 518, 5803, 0),
     ),
     ("geometric", ReductionVariant.CORE): (
-        {ReductionKind.CLIQUE: 3688, ReductionKind.DOMINATION: 992},
+        {ReductionKind.CLIQUE: 3716, ReductionKind.DOMINATION: 544},
         (81, 63, 123, 52),
     ),
     ("geometric", ReductionVariant.ELABORATED): (
-        {ReductionKind.DEG_ZERO: 65, ReductionKind.DEG_ONE: 324, ReductionKind.DOMINATION: 1556},
+        {ReductionKind.DEG_ZERO: 78, ReductionKind.DEG_ONE: 280, ReductionKind.DOMINATION: 806},
         (81, 63, 123, 52),
     ),
 }
@@ -844,8 +859,8 @@ def test_probes_route_by_degree(name, variant, monkeypatch):
 @pytest.mark.parametrize("variant", list(ReductionVariant), ids=lambda v: v.value)
 def test_scheduler_state_does_not_outlive_reduce(variant, monkeypatch):
     """No removal listener is left on the graph, which would keep the
-    scheduler's heap, pending set and ball intersections alive through the
-    solve: not after reduce, and not when a probe raises."""
+    scheduler's heap and pending set alive through the solve: not after
+    reduce, and not when a probe raises."""
     static = preferential_attachment(80, 2, seed=3)
     assert reduce(static, variant).graph.removal_listener is None
     if not variant.rule_order:

@@ -117,7 +117,7 @@ def reference_square(g: TwoLevelGraph) -> SquareGraph:
     active = g.active_vertices()
     dense = {orig: i for i, orig in enumerate(active)}
     rows = [
-        [dense[w] for w in g.neighbors(v) | g.materialize_two_neighborhood(v)] for v in active
+        [dense[w] for w in g.neighbors(v) | g.two_neighbors(v)] for v in active
     ]
     return SquareGraph.from_adjacency(rows, to_original=active)
 
